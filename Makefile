@@ -1,6 +1,6 @@
 # Convenience targets for the GSAP reproduction.
 
-.PHONY: install test test-fast test-faults test-dist test-integrity serve-smoke obs-smoke bench bench-incremental bench-paper perf-baseline perf-check perf-trend examples lint clean
+.PHONY: install test test-fast test-faults test-dist test-integrity test-perfbench serve-smoke obs-smoke bench bench-incremental bench-paper perf-baseline perf-check perf-trend examples lint clean
 
 PERF_BASELINE := benchmarks/baselines/perf_baseline_quick.json
 PERF_REPEATS  := 5
@@ -22,6 +22,10 @@ test-dist:
 
 test-integrity:
 	pytest tests/test_integrity.py
+
+# the repo benchmark's self-tests (perfbench/, not part of tier-1)
+test-perfbench:
+	python -m pytest perfbench/tests -q
 
 # deterministic service load test: overload + faults + checkpoint
 # shutdown; fails if any accepted job is lost or shutdown is unclean

@@ -30,10 +30,10 @@ def ablation_workload(
     key,
     *,
     runtime_s,
+    num_vertices,
+    num_edges,
     algorithm="GSAP",
     category="",
-    num_vertices=0,
-    num_edges=0,
     variant="",
     sim_time_s=None,
     phases=None,
@@ -43,7 +43,8 @@ def ablation_workload(
 
     ``runtime_s`` (and every other sample family) is a list with one
     entry per repeat — ablations that measure once pass a one-element
-    list, keeping the raw-samples contract of the schema.
+    list, keeping the raw-samples contract of the schema.  The graph
+    size is required so no record can claim a 0-edge graph by default.
     """
     wl = new_workload(
         key=key, algorithm=algorithm, category=category,

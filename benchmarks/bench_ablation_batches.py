@@ -30,6 +30,7 @@ def test_batch_count(benchmark, num_batches):
 
 def test_zzz_report(benchmark, capsys):
     assert pedantic_once(benchmark, lambda: _RESULTS)
+    graph, _ = load_dataset("low_low", 500)
     write_bench_record(
         "ablation_batches",
         [
@@ -37,7 +38,7 @@ def test_zzz_report(benchmark, capsys):
                 f"GSAP/low_low/500#batches={k}",
                 runtime_s=[_RESULTS[k][0]],
                 category="low_low", num_vertices=500,
-                variant=f"batches={k}",
+                num_edges=graph.num_edges, variant=f"batches={k}",
                 quality={"nmi": [_RESULTS[k][1]]},
             )
             for k in sorted(_RESULTS)

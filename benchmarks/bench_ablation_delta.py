@@ -74,6 +74,7 @@ def test_zzz_agreement_and_speedup(benchmark, capsys):
     speedup = pedantic_once(
         benchmark, lambda: _TIMES["full"] / _TIMES["decomposed"]
     )
+    graph, _ = load_dataset("low_low", 1_000)
     write_bench_record(
         "ablation_delta",
         [
@@ -81,7 +82,8 @@ def test_zzz_agreement_and_speedup(benchmark, capsys):
                 f"delta_mdl/low_low/1000#{variant}",
                 runtime_s=[_TIMES[key]],
                 algorithm="microbench", category="low_low",
-                num_vertices=1_000, variant=variant,
+                num_vertices=1_000, num_edges=graph.num_edges,
+                variant=variant,
             )
             for variant, key in (
                 ("decomposed", "decomposed"), ("full_recompute", "full"),

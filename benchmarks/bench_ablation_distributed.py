@@ -114,6 +114,7 @@ def test_zzz_report(benchmark, capsys):
         benchmark, lambda: [(k, *_RESULTS[k]) for k in sorted(_RESULTS)]
     )
     fault_rows = [(k, _FAULT_RESULTS[k]) for k in sorted(_FAULT_RESULTS)]
+    graph, _ = load_dataset("low_low", 200, seed=1)
     # strong-scaling curve off the simulated parallel lane clock
     base_wall = _RESULTS[1][4]["lane_wall_s"]
     scaling_points = []
@@ -137,6 +138,7 @@ def test_zzz_report(benchmark, capsys):
                 f"EDiSt/low_low/200#ranks={ranks}",
                 runtime_s=[runtime],
                 algorithm="EDiSt", category="low_low", num_vertices=200,
+                num_edges=graph.num_edges,
                 variant=f"ranks={ranks}",
                 quality={"nmi": [quality]},
             )
@@ -146,6 +148,7 @@ def test_zzz_report(benchmark, capsys):
                 f"EDiSt/low_low/200#fault={scenario}",
                 runtime_s=[m["runtime_s"]],
                 algorithm="EDiSt", category="low_low", num_vertices=200,
+                num_edges=graph.num_edges,
                 variant=f"fault={scenario}",
                 quality={"nmi": [m["nmi"]], "mdl": [m["mdl"]]},
             )

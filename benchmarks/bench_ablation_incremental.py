@@ -41,7 +41,7 @@ def test_rebuild_run(benchmark, graph):
     _RESULTS["rebuild"] = pedantic_once(benchmark, _run, graph, False)
 
 
-def test_zzz_identity_and_report(benchmark, capsys):
+def test_zzz_identity_and_report(benchmark, graph, capsys):
     assert "incremental" in _RESULTS and "rebuild" in _RESULTS
     inc, full = _RESULTS["incremental"], _RESULTS["rebuild"]
     # exactness: delta application must be indistinguishable from rebuilds
@@ -58,7 +58,8 @@ def test_zzz_identity_and_report(benchmark, capsys):
             f"GSAP/{_CATEGORY}/{_SIZE}#{variant}",
             runtime_s=[result.total_time_s],
             sim_time_s=[result.sim_time_s],
-            category=_CATEGORY, num_vertices=_SIZE, variant=variant,
+            category=_CATEGORY, num_vertices=_SIZE,
+            num_edges=graph.num_edges, variant=variant,
             phases={"blockmodel_update_s": [
                 result.timings.blockmodel_update_s
             ]},

@@ -92,6 +92,7 @@ def test_zzz_table_path_wins(benchmark, capsys):
     speedup = pedantic_once(
         benchmark, lambda: _TIMES["on_demand"] / _TIMES["table"]
     )
+    graph, _ = load_dataset("low_low", 1_000)
     write_bench_record(
         "ablation_proposals",
         [
@@ -99,7 +100,8 @@ def test_zzz_table_path_wins(benchmark, capsys):
                 f"proposals/low_low/1000#{variant}",
                 runtime_s=[_TIMES[variant]],
                 algorithm="microbench", category="low_low",
-                num_vertices=1_000, variant=variant,
+                num_vertices=1_000, num_edges=graph.num_edges,
+                variant=variant,
             )
             for variant in ("table", "on_demand")
         ],

@@ -89,6 +89,8 @@ def test_zzz_report(benchmark, capsys):
                 runtime_s=[_TIMES[variant]],
                 sim_time_s=[_TIMES[variant]],
                 algorithm="microbench", variant=variant,
+                # a synthetic kernel pipeline: no graph is partitioned
+                num_vertices=0, num_edges=0,
             )
             for variant in ("individual", "graph")
         ],

@@ -81,7 +81,7 @@ def test_incremental_updates(benchmark, setup):
     _TIMES["incremental_dense"] = model.matrix
 
 
-def test_zzz_agreement_and_report(benchmark, capsys):
+def test_zzz_agreement_and_report(benchmark, setup, capsys):
     assert "rebuild_dense" in _TIMES and "incremental_dense" in _TIMES
     np.testing.assert_array_equal(
         _TIMES["rebuild_dense"], _TIMES["incremental_dense"]
@@ -96,7 +96,8 @@ def test_zzz_agreement_and_report(benchmark, capsys):
                 f"update/low_low/{_SIZE}#{variant}",
                 runtime_s=[_TIMES[variant]],
                 algorithm="microbench", category="low_low",
-                num_vertices=_SIZE, variant=variant,
+                num_vertices=_SIZE, num_edges=setup[0].num_edges,
+                variant=variant,
             )
             for variant in ("rebuild", "incremental")
         ],

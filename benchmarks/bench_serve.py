@@ -59,6 +59,11 @@ def _graphs(seed, num_vertices, count):
     ]
 
 
+def _mean_edges(graphs):
+    """Mean edge count of the graphs one phase partitioned."""
+    return round(sum(g.num_edges for g in graphs) / len(graphs))
+
+
 async def _drive(seed, num_vertices, checkpoint_root):
     report = {"phases": {}, "violations": []}
 
@@ -91,6 +96,7 @@ async def _drive(seed, num_vertices, checkpoint_root):
         )
         report["phases"]["steady"] = {
             "jobs": len(outcomes),
+            "num_edges": _mean_edges(graphs),
             "outcomes": _tally(outcomes),
             "slo": _slo_summary(steady_status),
             "runtime_s": time.perf_counter() - t0,
@@ -138,6 +144,7 @@ async def _drive(seed, num_vertices, checkpoint_root):
         )
         report["phases"]["overload"] = {
             "jobs": len(outcomes),
+            "num_edges": _mean_edges(graphs),
             "outcomes": _tally(outcomes),
             "rejected": len(rejected),
             "retry_after_s": [round(o.retry_after_s, 4) for o in rejected],
@@ -179,6 +186,7 @@ async def _drive(seed, num_vertices, checkpoint_root):
         )
         report["phases"]["faulty"] = {
             "jobs": len(outcomes),
+            "num_edges": _mean_edges(graphs),
             "outcomes": _tally(outcomes),
             "retries": sum(o.retries for o in outcomes),
             "runtime_s": time.perf_counter() - t0,
@@ -201,6 +209,7 @@ async def _drive(seed, num_vertices, checkpoint_root):
         cache = srv.stats()["cache"]
         report["phases"]["repeat"] = {
             "jobs": 2,
+            "num_edges": graph.num_edges,
             "cache": cache,
             "runtime_s": time.perf_counter() - t0,
         }
@@ -233,6 +242,7 @@ async def _drive(seed, num_vertices, checkpoint_root):
     )
     report["phases"]["shutdown"] = {
         "jobs": len(outcomes),
+        "num_edges": _mean_edges(graphs),
         "outcomes": _tally(outcomes),
         "runtime_s": time.perf_counter() - t0,
     }
@@ -300,11 +310,13 @@ def main(argv=None):
                 runtime_s=[phase["runtime_s"]],
                 variant=name,
                 num_vertices=args.vertices,
+                num_edges=phase["num_edges"],
             )
             for name, phase in report["phases"].items()
         ]
         extras = {
-            name: {k: v for k, v in phase.items() if k != "runtime_s"}
+            name: {k: v for k, v in phase.items()
+                   if k not in ("runtime_s", "num_edges")}
             for name, phase in report["phases"].items()
         }
         out = write_bench_record(

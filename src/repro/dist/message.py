@@ -5,7 +5,7 @@ heartbeats, recovery control — travels inside a :class:`Frame`: a fixed
 little-endian header (source rank, destination rank, round index,
 per-channel sequence number, message kind) followed by the payload bytes
 and a trailing CRC32 over header + payload (the same integrity primitive
-the checksummed device buffers use, via
+as the integrity manager's shadow digests, via
 :func:`repro.integrity.digest.crc32_frame`).
 
 Decoding is strict: a frame whose checksum does not match raises

@@ -1,4 +1,4 @@
-"""Simulated-GPU substrate: device model, memory, streams, primitives.
+"""Simulated-GPU substrate: device model, streams, task graphs, primitives.
 
 This package is the repo's substitution for the paper's CUDA runtime
 (DESIGN.md §2): kernels execute as vectorized NumPy bodies while the
@@ -8,23 +8,13 @@ device accounts both wall time and an A4000-calibrated simulated time.
 from .device import (
     A4000,
     TINY_DEVICE,
-    BufferMismatch,
     Device,
     DeviceSpec,
     KernelCost,
-    buffer_digest,
     get_default_device,
     set_default_device,
 )
-from .kernels import DEFAULT_BLOCK_DIM, LaunchInfo, launch, launch_geometry
-from .memory import (
-    DeviceArray,
-    device_empty,
-    device_zeros,
-    ensure_same_device,
-    to_device,
-)
-from .profiler import KernelRecord, PhaseSummary, Profiler, TransferRecord
+from .profiler import KernelTotals, Profiler
 from .stream import Event, Stream, overlap_time_s
 from .taskgraph import ExecutableGraph, GraphNode, TaskGraph
 from .curand import (
@@ -38,26 +28,13 @@ from .curand import (
 __all__ = [
     "A4000",
     "TINY_DEVICE",
-    "BufferMismatch",
-    "buffer_digest",
     "Device",
     "DeviceSpec",
     "KernelCost",
     "get_default_device",
     "set_default_device",
-    "DEFAULT_BLOCK_DIM",
-    "LaunchInfo",
-    "launch",
-    "launch_geometry",
-    "DeviceArray",
-    "device_empty",
-    "device_zeros",
-    "ensure_same_device",
-    "to_device",
-    "KernelRecord",
-    "PhaseSummary",
+    "KernelTotals",
     "Profiler",
-    "TransferRecord",
     "Event",
     "Stream",
     "overlap_time_s",

@@ -1,139 +1,99 @@
-"""Kernel- and transfer-level profiling for the simulated device.
+"""Kernel ledger for the simulated device.
 
-The profiler feeds the paper's breakdown figures: Figure 10 (per-phase
+The ledger feeds the paper's breakdown figures: Figure 10 (per-phase
 runtime shares), Figure 11 (average time per proposal) and Figure 12
-(blockmodel-update speedups).  Each kernel execution produces one
-:class:`KernelRecord`; aggregation is by kernel name and by phase.
+(blockmodel-update speedups).  It keeps one running total per distinct
+(phase, kernel) pair, so its size follows the number of kernels, not the
+number of launches; the per-phase and per-kernel views sum those totals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-
-@dataclass(frozen=True)
-class KernelRecord:
-    """Timing record of one simulated kernel launch."""
-
-    name: str
-    phase: str
-    wall_time_s: float
-    sim_time_s: float
-    work_items: int
-    bytes_moved: int
-
-
-@dataclass(frozen=True)
-class TransferRecord:
-    """Timing record of one host<->device transfer."""
-
-    nbytes: int
-    direction: str  # "h2d" | "d2h"
-    sim_time_s: float
-    phase: str = "unphased"
+from typing import Dict, Tuple
 
 
 @dataclass
-class PhaseSummary:
-    """Aggregated timings of one phase (kernels plus transfers)."""
+class KernelTotals:
+    """Summed timings of a set of kernel launches.
 
-    phase: str
+    A ledger entry names both its ``phase`` and its kernel ``name``; the
+    :meth:`Profiler.by_phase` / :meth:`Profiler.by_kernel` views sum over
+    one of the two and leave that label empty.
+    """
+
+    phase: str = ""
+    name: str = ""
     wall_time_s: float = 0.0
     sim_time_s: float = 0.0
     num_launches: int = 0
     work_items: int = 0
     bytes_moved: int = 0
-    num_transfers: int = 0
-    transfer_bytes: int = 0
-    transfer_sim_time_s: float = 0.0
+
+    def add(self, other: "KernelTotals") -> None:
+        self.wall_time_s += other.wall_time_s
+        self.sim_time_s += other.sim_time_s
+        self.num_launches += other.num_launches
+        self.work_items += other.work_items
+        self.bytes_moved += other.bytes_moved
 
 
 class Profiler:
-    """Accumulates kernel and transfer records."""
+    """Per-(phase, kernel) totals of every launch on one device."""
 
     def __init__(self) -> None:
-        self.kernel_records: List[KernelRecord] = []
-        self.transfer_records: List[TransferRecord] = []
+        self.ledger: Dict[Tuple[str, str], KernelTotals] = {}
 
-    def record(self, record: KernelRecord) -> None:
-        self.kernel_records.append(record)
-
-    def record_transfer(
+    def add(
         self,
-        nbytes: int,
-        direction: str,
+        phase: str,
+        name: str,
+        wall_time_s: float,
         sim_time_s: float,
-        phase: str = "unphased",
+        work_items: int,
+        bytes_moved: int,
     ) -> None:
-        self.transfer_records.append(
-            TransferRecord(
-                nbytes=nbytes, direction=direction,
-                sim_time_s=sim_time_s, phase=phase,
-            )
-        )
+        """Add one launch of kernel *name* in *phase* to the ledger."""
+        entry = self.ledger.get((phase, name))
+        if entry is None:
+            entry = self.ledger[(phase, name)] = KernelTotals(phase, name)
+        entry.wall_time_s += wall_time_s
+        entry.sim_time_s += sim_time_s
+        entry.num_launches += 1
+        entry.work_items += work_items
+        entry.bytes_moved += bytes_moved
 
     def reset(self) -> None:
-        self.kernel_records.clear()
-        self.transfer_records.clear()
+        self.ledger.clear()
 
     # ------------------------------------------------------------------
-    # aggregation
+    # views
     # ------------------------------------------------------------------
-    def by_phase(self) -> Dict[str, PhaseSummary]:
-        """Aggregate kernel *and transfer* records per phase label.
-
-        Transfers contribute their simulated PCIe time to the phase's
-        ``sim_time_s`` (and the dedicated ``transfer_*`` fields), so
-        H2D/D2H traffic is visible in per-phase breakdowns instead of
-        silently vanishing from them.
-        """
-        summaries: Dict[str, PhaseSummary] = {}
-        for rec in self.kernel_records:
-            summary = summaries.setdefault(rec.phase, PhaseSummary(phase=rec.phase))
-            summary.wall_time_s += rec.wall_time_s
-            summary.sim_time_s += rec.sim_time_s
-            summary.num_launches += 1
-            summary.work_items += rec.work_items
-            summary.bytes_moved += rec.bytes_moved
-        for xfer in self.transfer_records:
-            summary = summaries.setdefault(
-                xfer.phase, PhaseSummary(phase=xfer.phase)
-            )
-            summary.sim_time_s += xfer.sim_time_s
-            summary.num_transfers += 1
-            summary.transfer_bytes += xfer.nbytes
-            summary.transfer_sim_time_s += xfer.sim_time_s
+    def by_phase(self) -> Dict[str, KernelTotals]:
+        """Totals per phase label, summed over kernels."""
+        summaries: Dict[str, KernelTotals] = {}
+        for entry in self.ledger.values():
+            summaries.setdefault(entry.phase, KernelTotals(phase=entry.phase)).add(entry)
         return summaries
 
-    def by_kernel(self) -> Dict[str, PhaseSummary]:
-        """Aggregate kernel records per kernel name."""
-        summaries: Dict[str, PhaseSummary] = {}
-        for rec in self.kernel_records:
-            summary = summaries.setdefault(rec.name, PhaseSummary(phase=rec.name))
-            summary.wall_time_s += rec.wall_time_s
-            summary.sim_time_s += rec.sim_time_s
-            summary.num_launches += 1
-            summary.work_items += rec.work_items
-            summary.bytes_moved += rec.bytes_moved
+    def by_kernel(self) -> Dict[str, KernelTotals]:
+        """Totals per kernel name, summed over phases."""
+        summaries: Dict[str, KernelTotals] = {}
+        for entry in self.ledger.values():
+            summaries.setdefault(entry.name, KernelTotals(name=entry.name)).add(entry)
         return summaries
 
     def total_wall_time_s(self) -> float:
-        return sum(r.wall_time_s for r in self.kernel_records)
+        return sum(e.wall_time_s for e in self.ledger.values())
 
     def total_sim_time_s(self) -> float:
-        kernels = sum(r.sim_time_s for r in self.kernel_records)
-        transfers = sum(r.sim_time_s for r in self.transfer_records)
-        return kernels + transfers
+        return sum(e.sim_time_s for e in self.ledger.values())
 
-    def total_transferred_bytes(self) -> int:
-        return sum(r.nbytes for r in self.transfer_records)
+    def launch_count(self) -> int:
+        return sum(e.num_launches for e in self.ledger.values())
 
     def phase_shares(self, clock: str = "wall") -> Dict[str, float]:
-        """Fraction of total time per phase, on the chosen clock.
-
-        Used directly by the Figure-10 bench.
-        """
+        """Fraction of total time per phase, on the chosen clock."""
         if clock not in ("wall", "sim"):
             raise ValueError(f"clock must be 'wall' or 'sim', got {clock!r}")
         attr = "wall_time_s" if clock == "wall" else "sim_time_s"
@@ -145,24 +105,3 @@ class Profiler:
             phase: getattr(summary, attr) / total
             for phase, summary in summaries.items()
         }
-
-    def launch_count(self) -> int:
-        return len(self.kernel_records)
-
-    def snapshot(self) -> "ProfilerSnapshot":
-        """Freeze current totals (cheap; used to diff around a phase)."""
-        return ProfilerSnapshot(
-            num_kernels=len(self.kernel_records),
-            num_transfers=len(self.transfer_records),
-        )
-
-    def records_since(self, snapshot: "ProfilerSnapshot") -> List[KernelRecord]:
-        return self.kernel_records[snapshot.num_kernels :]
-
-
-@dataclass(frozen=True)
-class ProfilerSnapshot:
-    """Marker into a profiler's record streams."""
-
-    num_kernels: int
-    num_transfers: int

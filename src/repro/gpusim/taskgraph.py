@@ -19,6 +19,7 @@ overhead against individually-launched kernels.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -117,60 +118,37 @@ class ExecutableGraph:
         path, not the serial sum).
         """
         device = self.device
-        spec = device.spec
         finish_at: Dict[int, float] = {}
         results: Dict[int, object] = {}
-        import time
 
         wall_start = time.perf_counter()
         critical_path = 0.0
         for nid in self._order:
             node = self.nodes[nid]
             results[nid] = node.body()
-            compute = (
-                node.cost.work_items * node.cost.ops_per_item
-            ) / spec.effective_ops_per_s
-            memory = node.cost.resolved_bytes() / (
-                spec.memory_bandwidth_gbps * 1e9
-            )
-            duration = max(compute, memory)
             start = max(
                 (finish_at[dep] for dep in node.dependencies), default=0.0
             )
-            finish_at[nid] = start + duration
+            finish_at[nid] = start + device.roofline_s(node.cost)
             critical_path = max(critical_path, finish_at[nid])
         wall = time.perf_counter() - wall_start
 
-        # account the whole replay as one profiler entry + one overhead
-        sim = spec.kernel_launch_overhead_s + critical_path
-        total_work = sum(n.cost.work_items for n in self.nodes)
-        total_bytes = sum(n.cost.resolved_bytes() for n in self.nodes)
-        device._sim_time_s += sim
-        from .profiler import KernelRecord
-
-        device.profiler.record(
-            KernelRecord(
-                name=f"graph:{self.name}",
-                phase="taskgraph",
-                wall_time_s=wall,
-                sim_time_s=sim,
-                work_items=total_work,
-                bytes_moved=total_bytes,
-            )
+        # account the whole replay as one ledger launch + one overhead
+        device.account(
+            f"graph:{self.name}",
+            "taskgraph",
+            wall,
+            device.spec.kernel_launch_overhead_s + critical_path,
+            sum(n.cost.work_items for n in self.nodes),
+            sum(n.cost.resolved_bytes() for n in self.nodes),
         )
         return results
 
     def serial_sim_time(self) -> float:
         """Simulated time the same kernels would take launched one by one
         (per-launch overhead, no overlap) — the comparison baseline."""
-        spec = self.device.spec
-        total = 0.0
-        for node in self.nodes:
-            compute = (
-                node.cost.work_items * node.cost.ops_per_item
-            ) / spec.effective_ops_per_s
-            memory = node.cost.resolved_bytes() / (
-                spec.memory_bandwidth_gbps * 1e9
-            )
-            total += spec.kernel_launch_overhead_s + max(compute, memory)
-        return total
+        device = self.device
+        return sum(
+            device.spec.kernel_launch_overhead_s + device.roofline_s(node.cost)
+            for node in self.nodes
+        )

@@ -1,4 +1,4 @@
-"""Content digests for graphs and configurations.
+"""Content digests for graphs, configurations and buffers.
 
 The job server's result cache and the shutdown job-parking machinery
 need a stable identity for "the same partitioning request": the same
@@ -46,11 +46,18 @@ def graph_sha256(graph) -> str:
     return digest.hexdigest()
 
 
+def buffer_digest(array) -> int:
+    """CRC32 content digest of an array's bytes (cheap, not cryptographic).
+
+    The integrity manager's shadow digests of the blockmodel structures.
+    """
+    return zlib.crc32(array.tobytes())
+
+
 def crc32_frame(data: bytes) -> int:
     """CRC32 checksum of one message frame (header + payload).
 
-    The same integrity primitive the checksummed device buffers use,
-    reused by :mod:`repro.dist.message` so a frame corrupted on the
+    The same integrity primitive as the shadow buffer digests, used by :mod:`repro.dist.message` so a frame corrupted on the
     simulated wire is detected at decode time rather than silently
     applied to a blockmodel replica.
     """

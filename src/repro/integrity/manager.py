@@ -46,9 +46,9 @@ import numpy as np
 from ..blockmodel.update import rebuild_blockmodel, rebuild_blockmodel_dense
 from ..config import IntegrityConfig
 from ..errors import IntegrityError
-from ..gpusim.device import buffer_digest
 from ..obs.hub import NULL_OBS
 from .auditor import audit_blockmodel, structure_arrays
+from .digest import buffer_digest
 
 logger = logging.getLogger(__name__)
 
@@ -139,8 +139,6 @@ class IntegrityManager:
         self.obs = obs if obs is not None else NULL_OBS
         self.restore_assignment = restore_assignment
         self.stats = IntegrityStats()
-        if config.track_device_digests:
-            device.track_digests = True
         self._sites_seen = 0
         self._shadow_bmap: Optional[np.ndarray] = None
         self._shadow_num_blocks: int = 0

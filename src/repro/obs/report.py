@@ -13,7 +13,7 @@ captured data:
 * Fig. 11's per-proposal averages and the Fig. 12 blockmodel-update
   share of the vertex-move phase;
 * MCMC acceptance rate and ΔMDL quantiles when metrics were captured;
-* kernel and transfer tables from the device profiler;
+* per-kernel and per-phase tables from the device's kernel ledger;
 * what the resilience subsystem absorbed.
 
 :func:`run_report_markdown` renders the same dictionary as Markdown;
@@ -54,8 +54,8 @@ def build_run_report(
 
     ``result`` is a :class:`~repro.core.result.PartitionResult` (duck-
     typed to keep this module import-light).  ``profiler`` is the
-    device's :class:`~repro.gpusim.profiler.Profiler`, for kernel-level
-    tables.
+    device's :class:`~repro.gpusim.profiler.Profiler`, whose kernel
+    ledger fills the ``kernels`` and ``device_phases`` tables.
     """
     timings = result.timings
     total = timings.total_s
@@ -154,7 +154,7 @@ def build_run_report(
         )
         report["kernels"] = [
             {
-                "name": s.phase,  # by_kernel() keys summaries by kernel name
+                "name": s.name,
                 "launches": s.num_launches,
                 "wall_time_s": s.wall_time_s,
                 "sim_time_s": s.sim_time_s,
@@ -167,8 +167,6 @@ def build_run_report(
                 "wall_time_s": s.wall_time_s,
                 "sim_time_s": s.sim_time_s,
                 "launches": s.num_launches,
-                "transfers": s.num_transfers,
-                "transfer_bytes": s.transfer_bytes,
             }
             for phase, s in sorted(profiler.by_phase().items())
         }

@@ -72,23 +72,17 @@ def gate_workloads() -> List[PerfWorkload]:
 
 
 def _kernel_table(profiler) -> Dict[str, dict]:
-    """Per-(phase, kernel) totals of one run, from the device profiler."""
-    table: Dict[str, dict] = {}
+    """Per-(phase, kernel) totals of one run, from the device's kernel ledger."""
     if profiler is None:
-        return table
-    for rec in profiler.kernel_records:
-        key = f"{rec.phase}/{rec.name}"
-        entry = table.setdefault(
-            key,
-            {"wall_s": 0.0, "sim_s": 0.0, "launches": 0,
-             "work_items": 0, "bytes_moved": 0},
-        )
-        entry["wall_s"] += rec.wall_time_s
-        entry["sim_s"] += rec.sim_time_s
-        entry["launches"] += 1
-        entry["work_items"] += rec.work_items
-        entry["bytes_moved"] += rec.bytes_moved
-    return table
+        return {}
+    return {
+        f"{e.phase}/{e.name}": {
+            "wall_s": e.wall_time_s, "sim_s": e.sim_time_s,
+            "launches": e.num_launches, "work_items": e.work_items,
+            "bytes_moved": e.bytes_moved,
+        }
+        for e in profiler.ledger.values()
+    }
 
 
 def _tracer_phases(obs) -> Optional[dict]:

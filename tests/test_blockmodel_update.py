@@ -52,13 +52,13 @@ class TestRebuild:
     def test_kernels_recorded_in_phase(self, device, tiny_graph):
         rebuild_blockmodel(device, tiny_graph, np.array([0, 1, 0, 1]), 2,
                            phase="my_phase")
-        phases = {r.phase for r in device.profiler.kernel_records}
+        phases = {phase for phase, _ in device.profiler.ledger}
         assert phases == {"my_phase"}
 
     def test_algorithm2_kernel_sequence(self, device, tiny_graph):
         """The rebuild must execute Algorithm 2's primitive sequence."""
         rebuild_blockmodel(device, tiny_graph, np.array([0, 1, 0, 1]), 2)
-        names = [r.name for r in device.profiler.kernel_records]
+        names = [name for _, name in device.profiler.ledger]
         for required in (
             "sort_by_key",          # line 1
             "gather_adjacency",     # lines 2-3

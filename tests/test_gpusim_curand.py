@@ -30,9 +30,7 @@ class TestUniformTable:
 
     def test_profiled(self, dev, rng):
         uniform_table(dev, rng, 10, phase="block_merge")
-        rec = dev.profiler.kernel_records[-1]
-        assert rec.name == "curand_uniform"
-        assert rec.phase == "block_merge"
+        assert list(dev.profiler.ledger) == [("block_merge", "curand_uniform")]
 
 
 class TestRandomBlockTable:
@@ -104,8 +102,8 @@ class TestBuildLookupTables:
         wgt = np.array([1, 1])
         tables = build_lookup_tables(dev, rng, 10**6, 2, ptr, nbr, wgt)
         serial = sum(
-            r.sim_time_s for r in dev.profiler.kernel_records
-            if r.name.startswith("curand")
+            e.sim_time_s for e in dev.profiler.ledger.values()
+            if e.name.startswith("curand")
         )
         assert tables.build_time_s < serial
 

@@ -107,11 +107,9 @@ class TestExecution:
         g.add_kernel("a", KernelCost(1), lambda: None)
         g.add_kernel("b", KernelCost(1), lambda: None)
         g.instantiate(device).launch()
-        records = [r for r in device.profiler.kernel_records
-                   if r.name == "graph:named"]
-        assert len(records) == 1
-        assert records[0].phase == "taskgraph"
-        assert records[0].work_items == 2
+        entry = device.profiler.ledger[("taskgraph", "graph:named")]
+        assert entry.num_launches == 1
+        assert entry.work_items == 2
 
     def test_relaunchable(self, device):
         counter = {"n": 0}

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.result import PartitionResult
 from repro.core.state import PhaseTimings, ProposalStats
+from repro.gpusim.profiler import Profiler
 from repro.obs import Observability, build_run_report, write_run_report
 from repro.obs.report import run_report_markdown
 
@@ -72,6 +73,25 @@ class TestBuildReport:
         assert mcmc["acceptance_rate"] == pytest.approx(0.25)
         assert mcmc["delta_mdl"]["count"] == 11
         assert mcmc["delta_mdl"]["p50"] == pytest.approx(0.0)
+
+    def test_kernel_tables_read_the_ledger(self, result):
+        profiler = Profiler()
+        profiler.add("block_merge", "gather", 0.5, 0.1, 10, 80)
+        profiler.add("vertex_move", "gather", 1.5, 0.2, 30, 240)
+        profiler.add("vertex_move", "segmented_sort", 1.0, 0.3, 20, 160)
+        report = build_run_report(result, profiler=profiler)
+        kernels = {row["name"]: row for row in report["kernels"]}
+        assert [row["name"] for row in report["kernels"]] == [
+            "gather", "segmented_sort"
+        ]
+        assert kernels["gather"]["launches"] == 2
+        assert kernels["gather"]["wall_time_s"] == pytest.approx(2.0)
+        assert kernels["gather"]["bytes_moved"] == 320
+        assert report["device_phases"]["vertex_move"] == {
+            "wall_time_s": pytest.approx(2.5),
+            "sim_time_s": pytest.approx(0.5),
+            "launches": 2,
+        }
 
     def test_disabled_obs_adds_no_metrics(self, result):
         report = build_run_report(result, obs=Observability(enabled=False))

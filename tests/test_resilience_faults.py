@@ -1,7 +1,6 @@
 """Fault-injection and recovery tests (the resilience fault matrix).
 
-Each fault class (``oom`` / ``kernel`` / ``stream`` / ``transfer_stall``)
-is exercised against each phase it can hit, through three outcomes:
+Each fault class (``oom`` / ``kernel`` / ``stream``) is exercised against each phase it can hit, through three outcomes:
 
 * **retry-then-succeed** — a transient fault is absorbed and the final
   partition is bit-identical to the fault-free run;
@@ -101,12 +100,20 @@ class TestFaultPlan:
         plan = FaultPlan(
             faults=(
                 FaultSpec(kind="kernel", at=5, phase="block_merge"),
-                FaultSpec(kind="transfer_stall", at=0, stall_s=0.25),
+                FaultSpec(kind="oom", at=0, min_bytes=4096),
             ),
             seed=99,
         )
         path = plan.save_json(tmp_path / "plan.json")
         assert FaultPlan.from_json_file(path) == plan
+
+    def test_removed_transfer_stall_kind_rejected(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(
+            {"faults": [{"kind": "transfer_stall", "at": 0, "stall_s": 0.5}]}
+        ))
+        with pytest.raises(ReproError, match="unknown fault kind"):
+            FaultPlan.from_json_file(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ReproError):
@@ -322,34 +329,41 @@ class TestResilienceStats:
 # ----------------------------------------------------------------------
 # injector semantics against a bare device
 # ----------------------------------------------------------------------
+def _kernel(device, nbytes):
+    """Launch an empty kernel declaring *nbytes* of memory traffic."""
+    return device.execute(
+        "scratch", KernelCost(work_items=1, bytes_moved=nbytes), lambda: 1
+    )
+
+
 class TestInjectorHooks:
-    def test_allocate_fault_fires_at_planned_index(self, device):
+    def test_oom_fault_fires_at_planned_index(self, device):
         install_fault_injector(
             device, FaultPlan(faults=(FaultSpec(kind="oom", at=1),))
         )
-        device.allocate(100)  # index 0: clean
+        _kernel(device, 100)  # index 0: clean
         with pytest.raises(InjectedMemoryFault):
-            device.allocate(100)  # index 1: boom
-        device.allocate(100)  # index 2: clean again
+            _kernel(device, 100)  # index 1: boom
+        _kernel(device, 100)  # index 2: clean again
 
     def test_injected_faults_look_like_real_ones(self, device):
         injector = install_fault_injector(
             device, FaultPlan(faults=(FaultSpec(kind="oom", at=0),))
         )
         with pytest.raises(DeviceMemoryError):
-            device.allocate(1)
+            _kernel(device, 1)
         assert isinstance(injector.log[0].detail, str)
         assert injector.fired_by_kind() == {"oom": 1}
 
-    def test_min_bytes_filters_small_allocations(self, device):
+    def test_min_bytes_filters_small_kernels(self, device):
         install_fault_injector(
             device,
             FaultPlan(faults=(FaultSpec(kind="oom", at=0, count=10**6,
                                         min_bytes=1000),)),
         )
-        device.allocate(999)  # below threshold: survives
+        _kernel(device, 999)  # below threshold: survives
         with pytest.raises(InjectedMemoryFault):
-            device.allocate(1000)
+            _kernel(device, 1000)
 
     def test_kernel_fault_respects_phase_filter(self, device):
         install_fault_injector(
@@ -361,17 +375,6 @@ class TestInjectorHooks:
         device.execute("k", cost, lambda: 1, phase="block_merge")  # unaffected
         with pytest.raises(InjectedKernelFault):
             device.execute("k", cost, lambda: 1, phase="vertex_move")
-
-    def test_transfer_stall_slows_but_does_not_raise(self, device):
-        injector = install_fault_injector(
-            device,
-            FaultPlan(faults=(FaultSpec(kind="transfer_stall", at=0,
-                                        stall_s=0.75),)),
-        )
-        stalled = device.charge_transfer(1024, "h2d")
-        clean = device.charge_transfer(1024, "h2d")
-        assert stalled == pytest.approx(clean + 0.75)
-        assert injector.fired_by_kind() == {"transfer_stall": 1}
 
     def test_stream_fault_fires_from_launch(self, device):
         install_fault_injector(
@@ -386,10 +389,10 @@ class TestInjectorHooks:
             device, FaultPlan(faults=(FaultSpec(kind="oom", at=0),))
         )
         with pytest.raises(InjectedMemoryFault):
-            device.allocate(1)
+            _kernel(device, 1)
         injector.reset()
         with pytest.raises(InjectedMemoryFault):
-            device.allocate(1)  # counter rewound: index 0 fires again
+            _kernel(device, 1)  # counter rewound: index 0 fires again
         assert injector.faults_fired == 1
 
 
@@ -419,10 +422,20 @@ def matrix_graph():
 
 @pytest.fixture(scope="module")
 def baseline(matrix_graph):
-    """Fault-free reference run (and its device, for kernel byte sizes)."""
+    """Fault-free reference run, plus the largest ``bytes_moved`` of any
+    single vertex-move launch (collected by wrapping ``Device.execute``)."""
     device = Device(A4000)
+    vm_bytes = [0]
+    execute = device.execute
+
+    def recording_execute(name, cost, body, phase=None):
+        if phase == "vertex_move":
+            vm_bytes[0] = max(vm_bytes[0], cost.resolved_bytes())
+        return execute(name, cost, body, phase=phase)
+
+    device.execute = recording_execute
     result = GSAPPartitioner(_config(), device=device).partition(matrix_graph)
-    return result, device
+    return result, vm_bytes[0]
 
 
 class TestFaultMatrix:
@@ -448,27 +461,6 @@ class TestFaultMatrix:
         np.testing.assert_array_equal(result.partition, ref.partition)
         assert result.mdl == ref.mdl
         assert result.history == ref.history
-
-    def test_transfer_stall_absorbed_on_sim_clock(self, matrix_graph):
-        """Stalled uploads slow the sim clock but never corrupt data."""
-        from repro.gpusim.memory import to_device
-
-        clean_device = Device(A4000)
-        payload = matrix_graph.out_adj.ptr
-        to_device(payload, clean_device).to_host()
-        clean_s = clean_device.sim_time_s
-
-        device = Device(A4000)
-        injector = install_fault_injector(
-            device,
-            FaultPlan(faults=(FaultSpec(kind="transfer_stall", at=0, count=2,
-                                        stall_s=0.5),)),
-        )
-        round_tripped = to_device(payload, device).to_host()
-        assert injector.fired_by_kind() == {"transfer_stall": 2}
-        np.testing.assert_array_equal(round_tripped, payload)
-        # both the h2d and d2h legs stalled; only the clock notices
-        assert device.sim_time_s == pytest.approx(clean_s + 1.0)
 
     @pytest.mark.parametrize("kind", ["kernel", "oom", "stream"])
     def test_persistent_fault_exhausts_retries(self, matrix_graph, kind):
@@ -498,13 +490,8 @@ class TestDegradationLadder:
     def test_persistent_oom_degrades_then_succeeds(
         self, matrix_graph, baseline
     ):
-        _, ref_device = baseline
-        vm_bytes = [
-            r.bytes_moved
-            for r in ref_device.profiler.kernel_records
-            if r.phase == "vertex_move"
-        ]
-        threshold = int(max(vm_bytes) * 0.6)
+        _, max_vm_bytes = baseline
+        threshold = int(max_vm_bytes * 0.6)
 
         device = Device(A4000)
         injector = install_fault_injector(
@@ -524,18 +511,13 @@ class TestDegradationLadder:
         assert np.isfinite(result.mdl)
 
     def test_degradation_disabled_raises_instead(self, matrix_graph, baseline):
-        _, ref_device = baseline
-        vm_bytes = [
-            r.bytes_moved
-            for r in ref_device.profiler.kernel_records
-            if r.phase == "vertex_move"
-        ]
+        _, max_vm_bytes = baseline
         device = Device(A4000)
         install_fault_injector(
             device,
             FaultPlan(faults=(FaultSpec(kind="oom", at=0, count=10**9,
                                         phase="vertex_move",
-                                        min_bytes=int(max(vm_bytes) * 0.6)),)),
+                                        min_bytes=int(max_vm_bytes * 0.6)),)),
         )
         config = _config(max_attempts=2, fault_budget=200,
                          degrade_on_oom=False)
@@ -559,7 +541,6 @@ class TestAcceptance:
                 FaultSpec(kind="kernel", at=40, count=2, phase="vertex_move"),
                 FaultSpec(kind="stream", at=3, phase="block_merge"),
                 FaultSpec(kind="oom", at=300),
-                FaultSpec(kind="transfer_stall", at=0, count=2, stall_s=0.5),
             )
         )
         injector = install_fault_injector(device, plan)

@@ -358,6 +358,36 @@ class TestLiveOpsVerbs:
         assert reply["ok"] is False
         assert "destination" in reply["error"]
 
+    def test_removed_config_option_errors_cleanly(self):
+        async def drive():
+            server = PartitionServer(ServeConfig(workers=0))
+            frontend = ServeFrontend(server, "127.0.0.1", 0)
+            await frontend.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", frontend.port
+            )
+
+            async def call(payload):
+                writer.write(json.dumps(payload).encode() + b"\n")
+                await writer.drain()
+                return json.loads(await reader.readline())
+
+            reply = await call({
+                "op": "partition", "src": [0, 1, 2], "dst": [1, 2, 0],
+                "config": {"seed": 3,
+                           "integrity": {"track_device_digests": True}},
+            })
+            status = await call({"op": "status"})
+            await server.shutdown("checkpoint")
+            await frontend.close()
+            writer.close()
+            return reply, status
+
+        reply, status = _run(drive())
+        assert reply["ok"] is False
+        assert "track_device_digests" in reply["error"]
+        assert status["ok"]
+
 
 class TestTopRenderer:
     def _status_payload(self):
