@@ -36,6 +36,7 @@ from ..core.golden_section import GoldenSectionSearch
 from ..core.result import PartitionResult
 from ..core.state import PartitionSnapshot, PhaseTimings, ProposalStats
 from ..errors import PartitionError
+from ..gpusim.profiler import Profiler
 from ..graph.csr import DiGraphCSR
 from ..logging_util import get_logger
 from ..rng import StreamFactory
@@ -194,7 +195,7 @@ class CPUSBPEngine:
             )
         config = self.config
         streams = StreamFactory(config.seed)
-        timings = PhaseTimings()
+        profiler = Profiler()  # phase clock only: no device kernels here
         stats = ProposalStats()
         run_start = time.perf_counter()
         num_vertices = graph.num_vertices
@@ -229,11 +230,10 @@ class CPUSBPEngine:
             bmap = resume.bmap.copy()
             model = DenseBlockmodel.from_graph(graph, bmap, resume.num_blocks)
 
-            t0 = time.perf_counter()
-            bmap, model, merge_props, merge_prop_time = self._merge_phase(
-                model, bmap, target, streams.next_in_sequence("merge"), graph
-            )
-            timings.block_merge_s += time.perf_counter() - t0
+            with profiler.phase("block_merge"):
+                bmap, model, merge_props, merge_prop_time = self._merge_phase(
+                    model, bmap, target, streams.next_in_sequence("merge"), graph
+                )
             stats.merge_proposals += merge_props
             stats.merge_proposal_time_s += merge_prop_time
 
@@ -242,21 +242,19 @@ class CPUSBPEngine:
                 if search.threshold_regime() == 1
                 else config.delta_entropy_threshold2
             )
-            t0 = time.perf_counter()
-            move_result = self._move_phase(
-                graph, model, bmap, streams.next_in_sequence("move"),
-                threshold, initial_mdl,
-            )
-            timings.vertex_move_s += time.perf_counter() - t0
+            with profiler.phase("vertex_move"):
+                move_result = self._move_phase(
+                    graph, model, bmap, streams.next_in_sequence("move"),
+                    threshold, initial_mdl,
+                )
             stats.move_proposals += move_result.num_proposals
             stats.move_proposal_time_s += move_result.proposal_time_s
             total_sweeps += move_result.num_sweeps
 
-            t0 = time.perf_counter()
-            search.update(
-                PartitionSnapshot(model.num_blocks, move_result.mdl, bmap.copy())
-            )
-            timings.golden_section_s += time.perf_counter() - t0
+            with profiler.phase("golden_section"):
+                search.update(
+                    PartitionSnapshot(model.num_blocks, move_result.mdl, bmap.copy())
+                )
 
         best = search.best
         if best is None:
@@ -266,7 +264,7 @@ class CPUSBPEngine:
             num_blocks=best.num_blocks,
             mdl=best.mdl,
             history=list(search.history),
-            timings=timings,
+            timings=PhaseTimings.from_phase_wall(profiler.phase_wall_s),
             proposal_stats=stats,
             total_time_s=time.perf_counter() - run_start,
             sim_time_s=0.0,

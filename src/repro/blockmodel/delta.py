@@ -191,7 +191,7 @@ def move_delta_dense(
 # batched device formulation
 # ======================================================================
 def precompute_block_term_sums(
-    device: Device, bm: BlockmodelCSR, phase: Optional[str] = None
+    device: Device, bm: BlockmodelCSR
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-block row/column entropy-term sums (paper Eq. 5, Fig. 5a).
 
@@ -208,9 +208,8 @@ def precompute_block_term_sums(
         "entropy_terms_rows",
         KernelCost(max(bm.num_entries, 1), ops_per_item=8.0),
         row_body,
-        phase,
     )
-    r_sums = prim.segmented_reduce_sum(device, row_terms, bm.out_ptr, phase)
+    r_sums = prim.segmented_reduce_sum(device, row_terms, bm.out_ptr)
 
     def col_body() -> np.ndarray:
         lengths = bm.in_ptr[1:] - bm.in_ptr[:-1]
@@ -221,9 +220,8 @@ def precompute_block_term_sums(
         "entropy_terms_cols",
         KernelCost(max(bm.num_entries, 1), ops_per_item=8.0),
         col_body,
-        phase,
     )
-    c_sums = prim.segmented_reduce_sum(device, col_terms, bm.in_ptr, phase)
+    c_sums = prim.segmented_reduce_sum(device, col_terms, bm.in_ptr)
     return r_sums, c_sums
 
 
@@ -281,7 +279,6 @@ def _merge_and_sum_terms(
     s: np.ndarray,
     d_in_shift: np.ndarray,
     exclude_rs: bool,
-    phase: Optional[str],
     transpose: bool = False,
     d_out_shift: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -305,10 +302,10 @@ def _merge_and_sum_terms(
         When True the varying side is the *source* degree (column sums).
     """
     num_segments = len(seg_ptr) - 1
-    seg_ids = prim.segment_ids_from_ptr(device, seg_ptr, phase)
-    seg_ids, keys, vals = prim.segmented_sort(device, seg_ids, keys, vals, phase)
+    seg_ids = prim.segment_ids_from_ptr(device, seg_ptr)
+    seg_ids, keys, vals = prim.segmented_sort(device, seg_ids, keys, vals)
     out_seg, out_keys, out_vals = prim.segmented_reduce_by_key(
-        device, seg_ids, keys, vals, phase
+        device, seg_ids, keys, vals
     )
 
     def body() -> np.ndarray:
@@ -327,7 +324,7 @@ def _merge_and_sum_terms(
         return np.bincount(out_seg, weights=terms, minlength=num_segments)
 
     cost = KernelCost(max(len(out_keys), 1), ops_per_item=10.0)
-    return device.execute("delta_terms_sum", cost, body, phase)
+    return device.execute("delta_terms_sum", cost, body)
 
 
 def merge_delta_batch(
@@ -336,7 +333,6 @@ def merge_delta_batch(
     r: np.ndarray,
     s: np.ndarray,
     term_sums: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    phase: Optional[str] = None,
 ) -> np.ndarray:
     """ΔS for a batch of merge proposals ``r[i] → s[i]`` (Eqs. 4-6).
 
@@ -346,7 +342,7 @@ def merge_delta_batch(
     r = np.asarray(r, dtype=INDEX_DTYPE)
     s = np.asarray(s, dtype=INDEX_DTYPE)
     if term_sums is None:
-        term_sums = precompute_block_term_sums(device, bm, phase)
+        term_sums = precompute_block_term_sums(device, bm)
     r_sums, c_sums = term_sums
 
     # old affected-entry sum: rows r,s fully + cols r,s minus intersection
@@ -381,7 +377,7 @@ def merge_delta_batch(
 
     # --- merged row s' ---------------------------------------------------
     seg_ptr, keys, vals = device.execute(
-        "gather_merge_rows", cost, lambda: gather_and_remap("out"), phase
+        "gather_merge_rows", cost, lambda: gather_and_remap("out")
     )
     d_in_shift = d_in[r]  # at key s the in-degree is d_in[r] + d_in[s]
     t_row_new = _merge_and_sum_terms(
@@ -395,12 +391,11 @@ def merge_delta_batch(
         s=s,
         d_in_shift=d_in_shift,
         exclude_rs=False,
-        phase=phase,
     )
 
     # --- merged column s' (excluding the merged row's entry) -------------
     seg_ptr_c, keys_c, vals_c = device.execute(
-        "gather_merge_cols", cost, lambda: gather_and_remap("in"), phase
+        "gather_merge_cols", cost, lambda: gather_and_remap("in")
     )
     d_out_shift = d_out[r]
     t_col_new = _merge_and_sum_terms(
@@ -414,7 +409,6 @@ def merge_delta_batch(
         s=s,
         d_in_shift=d_out_shift,
         exclude_rs=True,
-        phase=phase,
         transpose=True,
     )
 
@@ -478,7 +472,6 @@ def move_delta_batch(
     bm: BlockmodelCSR,
     ctx: MoveDeltaContext,
     term_sums: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    phase: Optional[str] = None,
 ) -> np.ndarray:
     """ΔS for a batch of vertex moves (paper Eq. 7), one value per mover.
 
@@ -487,7 +480,7 @@ def move_delta_batch(
     vertex-move phase.
     """
     if term_sums is None:
-        term_sums = precompute_block_term_sums(device, bm, phase)
+        term_sums = precompute_block_term_sums(device, bm)
     r_sums, c_sums = term_sums
     r, s = ctx.r, ctx.s
     p = ctx.num_movers
@@ -510,7 +503,6 @@ def move_delta_batch(
         "move_scalar_lookups",
         KernelCost(max(len(ctx.kout_blk) + len(ctx.kin_blk), 1), 2.0),
         build_scalars,
-        phase,
     )
     self_w = ctx.self_w.astype(FLOAT_DTYPE)
 
@@ -557,7 +549,7 @@ def move_delta_batch(
             return _concat_segment_sources(p, sources)
 
         seg_ptr, keys, vals = device.execute(
-            f"gather_move_{label}", KernelCost(max(p, 1), 4.0), gather, phase
+            f"gather_move_{label}", KernelCost(max(p, 1), 4.0), gather
         )
         return _merge_and_sum_terms(
             device,
@@ -570,8 +562,7 @@ def move_delta_batch(
             s=s,
             d_in_shift=shift,
             exclude_rs=exclude_rs,
-            phase=phase,
-            transpose=transpose,
+                transpose=transpose,
         )
 
     # new row r: row_r - k_out; (r, -kin_r - self), (s, +kin_r)

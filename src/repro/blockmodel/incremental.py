@@ -41,7 +41,6 @@ sequential-memory passes beat scattered row surgery.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -213,12 +212,16 @@ class IncrementalBlockmodel:
     attempt never sees stale state) and threaded through the block-merge
     and vertex-move phases.  ``reset`` / ``ensure`` (re)attach it to a
     compact :class:`BlockmodelCSR`; ``apply_batch`` and
-    ``apply_merge_relabel`` advance it; ``update_time_s`` accumulates the
-    wall time of every maintenance operation for the profiler's
-    ``blockmodel_update_s`` split.  Term-sum patching is timed separately
-    in ``term_patch_time_s``: it replaces the per-batch
-    ``precompute_block_term_sums`` pass, which the rebuild-based path
-    never charged to ``blockmodel_update_s`` either.
+    ``apply_merge_relabel`` advance it; ``patch_term_sums`` carries the
+    cached block term sums across the last ``apply_batch``.
+
+    No method takes a phase label: every kernel is charged to the
+    outermost phase scope open on the device's profiler.  The
+    vertex-move loop runs ``apply_batch`` inside a nested
+    ``blockmodel_update`` scope (the Fig. 12 split) and calls
+    ``patch_term_sums`` after it, outside that scope, because the patch
+    replaces the per-batch ``precompute_block_term_sums`` pass the
+    rebuild-based path runs outside it too.
     """
 
     def __init__(
@@ -237,9 +240,6 @@ class IncrementalBlockmodel:
         self.rebuild_every = int(rebuild_every)
         self.fallback_fraction = float(fallback_fraction)
         self.obs = obs or NULL_OBS
-        self.update_time_s = 0.0
-        self.term_patch_time_s = 0.0
-        self._patch_spent = 0.0
         self.incremental_updates = 0
         self.full_rebuilds = 0
         self.compactions = 0
@@ -248,6 +248,9 @@ class IncrementalBlockmodel:
         self._out: Optional[_PaddedRows] = None
         self._in: Optional[_PaddedRows] = None
         self._since_rebuild = 0
+        #: (pre-batch blockmodel, touched blocks) of the last incremental
+        #: apply_batch, consumed by patch_term_sums
+        self._patch_base: Optional[Tuple[BlockmodelCSR, np.ndarray]] = None
         # Persistent V-sized scratch for marking the movers of a batch.
         self._is_mover = np.zeros(graph.num_vertices, dtype=bool)
         self._old_block = np.zeros(graph.num_vertices, dtype=INDEX_DTYPE)
@@ -266,6 +269,7 @@ class IncrementalBlockmodel:
         self._out = None
         self._in = None
         self._since_rebuild = 0
+        self._patch_base = None
 
     def ensure(self, blockmodel: BlockmodelCSR) -> None:
         """Attach to *blockmodel* unless it is already the tracked one."""
@@ -276,33 +280,13 @@ class IncrementalBlockmodel:
         self.obs.count(name, amount, help=help_text)
 
     # ------------------------------------------------------------------
-    def rebuild(
-        self, bmap: IndexArray, num_blocks: int, phase: Optional[str]
-    ) -> BlockmodelCSR:
-        """Full Algorithm-2 rebuild; resets the padded storage."""
-        t0 = time.perf_counter()
-        try:
-            bm = self.rebuild_fn(self.device, self.graph, bmap, num_blocks, phase)
-            self.reset(bm)
-            self.full_rebuilds += 1
-            self._count(
-                "blockmodel_full_rebuilds_total",
-                "full Algorithm-2 blockmodel rebuilds",
-            )
-            return bm
-        finally:
-            self.update_time_s += time.perf_counter() - t0
-
-    # ------------------------------------------------------------------
     def apply_batch(
         self,
         bmap: IndexArray,
         movers: np.ndarray,
         old_blocks: np.ndarray,
         new_blocks: np.ndarray,
-        phase: Optional[str] = None,
-        term_sums: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> Tuple[BlockmodelCSR, Optional[Tuple[np.ndarray, np.ndarray]]]:
+    ) -> BlockmodelCSR:
         """Apply one accepted batch of vertex moves as sparse deltas.
 
         Parameters
@@ -312,42 +296,16 @@ class IncrementalBlockmodel:
         movers / old_blocks / new_blocks:
             Accepted vertices and their old (``r``) / new (``s``) blocks;
             ``r != s`` for every entry (the MH step filters no-ops).
-        term_sums:
-            The cached :func:`precompute_block_term_sums` output valid
-            for the pre-move blockmodel; when given, the patched sums for
-            the post-move blockmodel are returned alongside it.
 
-        Returns ``(new_blockmodel, patched_term_sums_or_None)``.  Falls
-        back to a full rebuild (returning ``(bm, None)``) on the
+        Returns the new blockmodel.  Falls back to a full rebuild on the
         configured cadence or when the batch touches more than
         ``fallback_fraction`` of all blocks.
         """
-        if self._bm is None:
+        old_bm = self._bm
+        if old_bm is None:
             raise PartitionError(
                 "IncrementalBlockmodel.apply_batch before reset()"
             )
-        t0 = time.perf_counter()
-        self._patch_spent = 0.0
-        try:
-            return self._apply_batch(
-                bmap, movers, old_blocks, new_blocks, phase, term_sums
-            )
-        finally:
-            elapsed = time.perf_counter() - t0
-            self.update_time_s += elapsed - self._patch_spent
-            self.term_patch_time_s += self._patch_spent
-
-    def _apply_batch(
-        self,
-        bmap: IndexArray,
-        movers: np.ndarray,
-        old_blocks: np.ndarray,
-        new_blocks: np.ndarray,
-        phase: Optional[str],
-        term_sums: Optional[Tuple[np.ndarray, np.ndarray]],
-    ) -> Tuple[BlockmodelCSR, Optional[Tuple[np.ndarray, np.ndarray]]]:
-        old_bm = self._bm
-        assert old_bm is not None
         num_blocks = old_bm.num_blocks
         movers = np.asarray(movers, dtype=INDEX_DTYPE)
         r = np.asarray(old_blocks, dtype=INDEX_DTYPE)
@@ -355,58 +313,51 @@ class IncrementalBlockmodel:
         touched = np.unique(np.concatenate((r, s)))
 
         if self.rebuild_every and self._since_rebuild + 1 >= self.rebuild_every:
-            return self.rebuild_fn_with_count(bmap, num_blocks, phase), None
+            return self._rebuild(bmap, num_blocks)
         if len(touched) > self.fallback_fraction * num_blocks:
             self.fallbacks += 1
             self._count(
                 "blockmodel_incremental_fallbacks_total",
                 "incremental batches that fell back to a full rebuild",
             )
-            return self.rebuild_fn_with_count(bmap, num_blocks, phase), None
+            return self._rebuild(bmap, num_blocks)
 
         if self._out is None:
             self._build_padded()
 
-        d_keys, d_vals = self._delta_cells(bmap, movers, r, s, num_blocks, phase)
+        d_keys, d_vals = self._delta_cells(bmap, movers, r, s, num_blocks)
 
         # ---- merge deltas into both padded directions ----------------
         d_rows = d_keys // num_blocks
         d_cols = d_keys % num_blocks
-        self._merge_direction(self._out, num_blocks, d_rows, d_cols, d_vals, phase)
+        self._merge_direction(self._out, num_blocks, d_rows, d_cols, d_vals)
         in_keys = d_cols * num_blocks + d_rows
-        in_keys, in_vals = prim.sort_by_key(self.device, in_keys, d_vals, phase)
+        in_keys, in_vals = prim.sort_by_key(self.device, in_keys, d_vals)
         self._merge_direction(
             self._in,
             num_blocks,
             in_keys // num_blocks,
             in_keys % num_blocks,
             in_vals,
-            phase,
         )
 
         # ---- patch block degrees (exact integer histograms) ----------
-        deg_out, deg_in = self._patch_degrees(old_bm, movers, r, s, num_blocks, phase)
+        deg_out, deg_in = self._patch_degrees(old_bm, movers, r, s, num_blocks)
 
-        new_bm = self._materialize(num_blocks, deg_out, deg_in, phase)
-        patched = None
-        if term_sums is not None:
-            p0 = time.perf_counter()
-            patched = self._patch_term_sums(old_bm, new_bm, touched, term_sums, phase)
-            self._patch_spent += time.perf_counter() - p0
+        new_bm = self._materialize(num_blocks, deg_out, deg_in)
         self._bm = new_bm
+        self._patch_base = (old_bm, touched)
         self._since_rebuild += 1
         self.incremental_updates += 1
         self._count(
             "blockmodel_incremental_updates_total",
             "accepted batches applied as sparse blockmodel deltas",
         )
-        return new_bm, patched
+        return new_bm
 
-    def rebuild_fn_with_count(
-        self, bmap: IndexArray, num_blocks: int, phase: Optional[str]
-    ) -> BlockmodelCSR:
-        """Full rebuild *without* re-entering the public timer."""
-        bm = self.rebuild_fn(self.device, self.graph, bmap, num_blocks, phase)
+    def _rebuild(self, bmap: IndexArray, num_blocks: int) -> BlockmodelCSR:
+        """Full Algorithm-2 rebuild; resets the padded storage."""
+        bm = self.rebuild_fn(self.device, self.graph, bmap, num_blocks)
         self.reset(bm)
         self.full_rebuilds += 1
         self._count(
@@ -431,7 +382,6 @@ class IncrementalBlockmodel:
             "pad_blockmodel_rows",
             KernelCost(n, ops_per_item=2.0, bytes_moved=8 * 4 * n),
             body,
-            phase=None,
         )
 
     def _delta_cells(
@@ -441,7 +391,6 @@ class IncrementalBlockmodel:
         r: np.ndarray,
         s: np.ndarray,
         num_blocks: int,
-        phase: Optional[str],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Signed per-cell deltas, compressed to unique nonzero cells.
 
@@ -510,10 +459,9 @@ class IncrementalBlockmodel:
             "incremental_delta_cells",
             KernelCost(max(work, 1), ops_per_item=4.0, bytes_moved=8 * 4 * max(work, 1)),
             body,
-            phase,
         )
-        keys, vals = prim.sort_by_key(self.device, keys, vals, phase)
-        ukeys, sums = prim.reduce_by_key(self.device, keys, vals, phase)
+        keys, vals = prim.sort_by_key(self.device, keys, vals)
+        ukeys, sums = prim.reduce_by_key(self.device, keys, vals)
         nz = sums != 0
         return ukeys[nz], sums[nz]
 
@@ -524,7 +472,6 @@ class IncrementalBlockmodel:
         d_rows: np.ndarray,
         d_cols: np.ndarray,
         d_vals: np.ndarray,
-        phase: Optional[str],
     ) -> None:
         """Fold sorted per-cell deltas into one padded CSR direction.
 
@@ -583,7 +530,6 @@ class IncrementalBlockmodel:
             "apply_delta_cells",
             KernelCost(n, ops_per_item=4.0, bytes_moved=8 * 4 * n),
             locate_body,
-            phase,
         )
         if len(structural) == 0:
             return
@@ -628,9 +574,8 @@ class IncrementalBlockmodel:
             "gather_padded_rows",
             KernelCost(m, ops_per_item=3.0, bytes_moved=8 * 4 * m),
             gather_body,
-            phase,
         )
-        comp, vals = prim.sort_by_key(device, comp, vals, phase)
+        comp, vals = prim.sort_by_key(device, comp, vals)
 
         def scatter_body() -> None:
             # Inserted columns are new to their rows and live columns are
@@ -657,7 +602,6 @@ class IncrementalBlockmodel:
             "scatter_padded_rows",
             KernelCost(k, ops_per_item=2.0, bytes_moved=8 * 4 * k),
             scatter_body,
-            phase,
         )
 
     def _patch_degrees(
@@ -667,7 +611,6 @@ class IncrementalBlockmodel:
         r: np.ndarray,
         s: np.ndarray,
         num_blocks: int,
-        phase: Optional[str],
     ) -> Tuple[np.ndarray, np.ndarray]:
         def body() -> Tuple[np.ndarray, np.ndarray]:
             d_out_m = self._vertex_deg_out[movers].astype(np.float64)
@@ -690,7 +633,6 @@ class IncrementalBlockmodel:
             "patch_block_degrees",
             KernelCost(n, ops_per_item=4.0, bytes_moved=8 * 4 * n),
             body,
-            phase,
         )
 
     def _materialize(
@@ -698,7 +640,6 @@ class IncrementalBlockmodel:
         num_blocks: int,
         deg_out: np.ndarray,
         deg_in: np.ndarray,
-        phase: Optional[str],
     ) -> BlockmodelCSR:
         out_store, in_store = self._out, self._in
         assert out_store is not None and in_store is not None
@@ -723,19 +664,20 @@ class IncrementalBlockmodel:
             "compact_blockmodel",
             KernelCost(n, ops_per_item=1.0, bytes_moved=8 * 3 * n),
             body,
-            phase,
         )
 
     # ------------------------------------------------------------------
-    def _patch_term_sums(
-        self,
-        old_bm: BlockmodelCSR,
-        new_bm: BlockmodelCSR,
-        touched: np.ndarray,
-        term_sums: Tuple[np.ndarray, np.ndarray],
-        phase: Optional[str],
+    def patch_term_sums(
+        self, term_sums: Tuple[np.ndarray, np.ndarray]
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Patch cached per-block entropy-term sums for affected blocks.
+        """Carry cached per-block entropy-term sums across the last batch.
+
+        *term_sums* is the :func:`precompute_block_term_sums` output for
+        the blockmodel before the last :meth:`apply_batch`; the result
+        is valid for the tracked blockmodel after it.  Returns ``None``
+        when that batch fell back to a full rebuild, or when patching
+        would re-reduce more than ``_TERM_PATCH_FRACTION`` of the
+        entries — the caller then runs the full precompute.
 
         ``R[b]`` must be recomputed when row *b*'s entries changed, when
         ``deg_out[b]`` changed (b ∈ touched), or when some stored column
@@ -745,6 +687,10 @@ class IncrementalBlockmodel:
         sum is reused bit-identically, which is sound because
         ``segmented_reduce_sum`` reduces each segment independently.
         """
+        if self._patch_base is None:
+            return None
+        (old_bm, touched), self._patch_base = self._patch_base, None
+        new_bm = self._bm
         device = self.device
         r_sums, c_sums = term_sums
 
@@ -771,7 +717,6 @@ class IncrementalBlockmodel:
             "touched_term_sets",
             KernelCost(max(len(touched), 1), ops_per_item=3.0),
             sets_body,
-            phase,
         )
 
         # Patching pays off only while the affected footprint is small;
@@ -795,9 +740,8 @@ class IncrementalBlockmodel:
             "entropy_terms_rows_patch",
             KernelCost(max(len(aff_r), 1), ops_per_item=8.0),
             row_terms,
-            phase,
         )
-        row_vals = prim.segmented_reduce_sum(device, terms, seg_ptr, phase)
+        row_vals = prim.segmented_reduce_sum(device, terms, seg_ptr)
 
         def col_terms() -> Tuple[np.ndarray, np.ndarray]:
             seg_ptr_c, srcs, w = new_bm.gather_rows(aff_c, "in")
@@ -810,9 +754,8 @@ class IncrementalBlockmodel:
             "entropy_terms_cols_patch",
             KernelCost(max(len(aff_c), 1), ops_per_item=8.0),
             col_terms,
-            phase,
         )
-        col_vals = prim.segmented_reduce_sum(device, terms_c, seg_ptr_c, phase)
+        col_vals = prim.segmented_reduce_sum(device, terms_c, seg_ptr_c)
 
         new_r = r_sums.copy()
         new_r[aff_r] = row_vals
@@ -825,7 +768,6 @@ class IncrementalBlockmodel:
         self,
         gmap: np.ndarray,
         new_num_blocks: int,
-        phase: Optional[str] = None,
     ) -> BlockmodelCSR:
         """Collapse the tracked blockmodel under a block relabelling.
 
@@ -836,21 +778,11 @@ class IncrementalBlockmodel:
         the degree arrays with two histograms.  Byte-identical to a full
         rebuild under the relabelled assignment.
         """
-        if self._bm is None:
+        old = self._bm
+        if old is None:
             raise PartitionError(
                 "IncrementalBlockmodel.apply_merge_relabel before reset()"
             )
-        t0 = time.perf_counter()
-        try:
-            return self._apply_merge_relabel(gmap, new_num_blocks, phase)
-        finally:
-            self.update_time_s += time.perf_counter() - t0
-
-    def _apply_merge_relabel(
-        self, gmap: np.ndarray, new_num_blocks: int, phase: Optional[str]
-    ) -> BlockmodelCSR:
-        old = self._bm
-        assert old is not None
         device = self.device
         b2 = int(new_num_blocks)
         gmap = np.asarray(gmap, dtype=INDEX_DTYPE)
@@ -866,10 +798,9 @@ class IncrementalBlockmodel:
             "merge_relabel_keys",
             KernelCost(n, ops_per_item=3.0, bytes_moved=8 * 3 * n),
             rekey_body,
-            phase,
         )
-        keys, vals = prim.sort_by_key(device, keys, vals, phase)
-        ukeys, sums = prim.reduce_by_key(device, keys, vals, phase)
+        keys, vals = prim.sort_by_key(device, keys, vals)
+        ukeys, sums = prim.reduce_by_key(device, keys, vals)
 
         def assemble_body() -> BlockmodelCSR:
             out_rows = (ukeys // b2).astype(INDEX_DTYPE)
@@ -906,7 +837,6 @@ class IncrementalBlockmodel:
             "merge_relabel_assemble",
             KernelCost(m, ops_per_item=3.0, bytes_moved=8 * 4 * m),
             assemble_body,
-            phase,
         )
         self.reset(new_bm)
         self.incremental_updates += 1

@@ -23,14 +23,11 @@ from ..gpusim import primitives as prim
 from ..types import INDEX_DTYPE, WEIGHT_DTYPE, IndexArray
 from .blockmodel import BlockmodelCSR
 
-UPDATE_PHASE = "blockmodel_update"
-
 
 def _gather_adjacency_by_vmap(
     device: Device,
     adj: CSRAdjacency,
     vmap: np.ndarray,
-    phase: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Concatenate adjacency rows in *vmap* order (Algorithm 2 lines 2-3).
 
@@ -52,7 +49,7 @@ def _gather_adjacency_by_vmap(
 
     cost = KernelCost(work_items=max(adj.num_entries, 1), ops_per_item=2.0,
                       bytes_moved=8 * 3 * max(adj.num_entries, 1))
-    return device.execute("gather_adjacency", cost, body, phase)
+    return device.execute("gather_adjacency", cost, body)
 
 
 def _build_direction(
@@ -62,29 +59,25 @@ def _build_direction(
     src_blocks_sorted: np.ndarray,
     bmap: np.ndarray,
     num_blocks: int,
-    phase: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build one CSR direction of the blockmodel (ptr, nbr, wgt)."""
-    row_lengths, nbr, wgt = _gather_adjacency_by_vmap(device, adj, vmap, phase)
+    row_lengths, nbr, wgt = _gather_adjacency_by_vmap(device, adj, vmap)
     # Segment id of each adjacency entry = block of its source vertex.
     seg_ids = device.execute(
         "expand_segments",
         KernelCost(work_items=max(len(nbr), 1), ops_per_item=1.0),
         lambda: np.repeat(src_blocks_sorted, row_lengths),
-        phase,
     )
     # Algorithm 2 line 4: map neighbour vertex ids to block ids.
-    nbr_blocks = prim.gather(device, bmap, nbr, phase)
+    nbr_blocks = prim.gather(device, bmap, nbr)
     # Line 5: segmented sort by (block, neighbour block).
-    seg_ids, nbr_blocks, wgt = prim.segmented_sort(
-        device, seg_ids, nbr_blocks, wgt, phase
-    )
+    seg_ids, nbr_blocks, wgt = prim.segmented_sort(device, seg_ids, nbr_blocks, wgt)
     # Lines 6-8: subsegment heads -> reduce runs -> pointer scan.
     out_seg, out_nbr, out_wgt = prim.segmented_reduce_by_key(
-        device, seg_ids, nbr_blocks, wgt, phase
+        device, seg_ids, nbr_blocks, wgt
     )
-    counts = prim.bincount(device, out_seg, num_blocks, phase=phase)
-    ptr = prim.exclusive_scan(device, counts, phase)
+    counts = prim.bincount(device, out_seg, num_blocks)
+    ptr = prim.exclusive_scan(device, counts)
     return (
         ptr.astype(INDEX_DTYPE),
         out_nbr.astype(INDEX_DTYPE),
@@ -97,7 +90,6 @@ def rebuild_blockmodel(
     graph: DiGraphCSR,
     bmap: IndexArray,
     num_blocks: Optional[int] = None,
-    phase: str = UPDATE_PHASE,
 ) -> BlockmodelCSR:
     """Rebuild the CSR blockmodel from scratch (paper Algorithm 2).
 
@@ -124,22 +116,22 @@ def rebuild_blockmodel(
 
     # Algorithm 2 line 1: sort vertices by block id.
     sorted_blocks, vmap = prim.sort_by_key(
-        device, bmap, np.arange(graph.num_vertices, dtype=INDEX_DTYPE), phase
+        device, bmap, np.arange(graph.num_vertices, dtype=INDEX_DTYPE)
     )
 
     out_ptr, out_nbr, out_wgt = _build_direction(
-        device, graph.out_adj, vmap, sorted_blocks, bmap, num_blocks, phase
+        device, graph.out_adj, vmap, sorted_blocks, bmap, num_blocks
     )
     in_ptr, in_nbr, in_wgt = _build_direction(
-        device, graph.in_adj, vmap, sorted_blocks, bmap, num_blocks, phase
+        device, graph.in_adj, vmap, sorted_blocks, bmap, num_blocks
     )
 
     # Block degrees: one atomic-histogram pass per direction.
     deg_out = prim.bincount(
-        device, bmap, num_blocks, weights=graph.out_degrees(), phase=phase
+        device, bmap, num_blocks, weights=graph.out_degrees()
     ).astype(WEIGHT_DTYPE)
     deg_in = prim.bincount(
-        device, bmap, num_blocks, weights=graph.in_degrees(), phase=phase
+        device, bmap, num_blocks, weights=graph.in_degrees()
     ).astype(WEIGHT_DTYPE)
 
     return BlockmodelCSR(
@@ -160,7 +152,6 @@ def rebuild_blockmodel_dense(
     graph: DiGraphCSR,
     bmap: IndexArray,
     num_blocks: Optional[int] = None,
-    phase: str = UPDATE_PHASE,
 ) -> BlockmodelCSR:
     """Host-side rebuild through the dense path (degradation fallback).
 
@@ -168,8 +159,8 @@ def rebuild_blockmodel_dense(
     on the host and converts to CSR — no device kernels, no device
     scratch memory.  Slower per call than Algorithm 2, but immune to
     device memory pressure; the resilience ladder switches to it when
-    repeated OOM survives batch-size halving.  The *device*/*phase*
-    arguments are accepted (and ignored) so it is call-compatible with
+    repeated OOM survives batch-size halving.  The *device* argument is
+    accepted (and ignored) so it is call-compatible with
     :func:`rebuild_blockmodel`.
     """
     from .dense import DenseBlockmodel

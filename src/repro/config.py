@@ -101,16 +101,12 @@ class ObservabilityConfig:
         instrumented call site returns before touching any state, and a
         traced run produces a bit-identical partition to an untraced
         one (tracing never consumes RNG draws).
-    trace_kernels:
-        Bridge the simulated device's kernel launches into the tracer
-        as leaf spans (one span per launch; the dominant span volume).
     track_deltas:
         Feed per-proposal ΔMDL values into histograms (adds one NumPy
         bucketing pass per MCMC batch).
     """
 
     enabled: bool = False
-    trace_kernels: bool = True
     track_deltas: bool = True
 
     def replace(self, **changes: object) -> "ObservabilityConfig":

@@ -202,11 +202,11 @@ def run_block_merge_phase(
                       num_blocks=num_blocks, target=target_num_blocks):
             t0 = time.perf_counter()
             batch = propose_block_merges(
-                device, blockmodel, rng, config.num_proposals, PHASE
+                device, blockmodel, rng, config.num_proposals
             )
-            term_sums = precompute_block_term_sums(device, blockmodel, PHASE)
+            term_sums = precompute_block_term_sums(device, blockmodel)
             delta = merge_delta_batch(
-                device, blockmodel, batch.proposers, batch.proposals, term_sums, PHASE
+                device, blockmodel, batch.proposers, batch.proposals, term_sums
             )
             proposal_time += time.perf_counter() - t0
             total_evaluated += len(delta)
@@ -220,11 +220,9 @@ def run_block_merge_phase(
                 num_blocks - target_num_blocks,
             )
             if incremental is not None:
-                blockmodel = incremental.apply_merge_relabel(
-                    gmap, num_blocks, PHASE
-                )
+                blockmodel = incremental.apply_merge_relabel(gmap, num_blocks)
             else:
-                blockmodel = rebuild_fn(device, graph, bmap, num_blocks, PHASE)
+                blockmodel = rebuild_fn(device, graph, bmap, num_blocks)
             if integrity is not None:
                 repaired = integrity.site(bmap, blockmodel, PHASE)
                 if repaired is not blockmodel:

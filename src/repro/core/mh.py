@@ -43,7 +43,6 @@ def hastings_correction_batch(
     device: Device,
     bm: BlockmodelCSR,
     ctx: MoveDeltaContext,
-    phase: str = "vertex_move",
 ) -> np.ndarray:
     """``p_backward / p_forward`` per mover, vectorized over the batch.
 
@@ -163,7 +162,6 @@ def hastings_correction_batch(
         "hastings_correction",
         KernelCost(work_items=max(work, 1), ops_per_item=12.0),
         kernel,
-        phase,
     )
 
 
@@ -173,7 +171,6 @@ def accept_moves(
     hastings: np.ndarray,
     beta: float,
     rng: np.random.Generator,
-    phase: str = "vertex_move",
 ) -> np.ndarray:
     """Vectorized accept/reject: ``u < min(1, exp(-β ΔS) · H)``."""
     # Guard BEFORE the RNG draw: a NaN ΔS or Hastings ratio would make
@@ -198,5 +195,4 @@ def accept_moves(
         "mh_accept",
         KernelCost(work_items=max(len(delta), 1), ops_per_item=6.0),
         kernel,
-        phase,
     )

@@ -181,7 +181,6 @@ class GSAPPartitioner:
         plateau_idx: int,
         streams: StreamFactory,
         degradation: _Degradation,
-        timings: PhaseTimings,
         integrity=None,
         cancel=None,
     ) -> Tuple[BlockMergeOutcome, VertexMoveOutcome]:
@@ -214,13 +213,11 @@ class GSAPPartitioner:
                 obs=obs,
             )
 
-        t0 = time.perf_counter()
-        with obs.span("block_merge", "phase", plateau=plateau_idx,
-                      target=target):
+        with device.profiler.phase(
+            "block_merge", plateau=plateau_idx, target=target
+        ):
             bmap = resume.bmap.copy()
-            blockmodel = rebuild_fn(
-                device, graph, bmap, resume.num_blocks, "block_merge"
-            )
+            blockmodel = rebuild_fn(device, graph, bmap, resume.num_blocks)
             if integrity is not None:
                 blockmodel = integrity.site(bmap, blockmodel, "block_merge")
             merge = run_block_merge_phase(
@@ -228,38 +225,14 @@ class GSAPPartitioner:
                 streams.get("block_merge", plateau_idx), rebuild_fn,
                 obs=obs, integrity=integrity, incremental=incremental,
             )
-        timings.block_merge_s += time.perf_counter() - t0
 
-        # Shim the rebuild so the Fig. 12 update-vs-MCMC split is
-        # measurable: blockmodel_update_s is the rebuild time *inside*
-        # the vertex-move phase (a subset of vertex_move_s).
-        update_spent = [0.0]
-
-        def timed_rebuild(*args, **kwargs):
-            r0 = time.perf_counter()
-            try:
-                return rebuild_fn(*args, **kwargs)
-            finally:
-                update_spent[0] += time.perf_counter() - r0
-
-        t0 = time.perf_counter()
-        inc_spent0 = incremental.update_time_s if incremental is not None else 0.0
-        with obs.span("vertex_move", "phase", plateau=plateau_idx):
+        with device.profiler.phase("vertex_move", plateau=plateau_idx):
             move = run_vertex_move_phase(
                 device, graph, merge.blockmodel, merge.bmap, config,
                 streams.get("vertex_move", plateau_idx),
                 threshold, initial_mdl_scale=initial_mdl,
-                rebuild_fn=timed_rebuild, obs=obs, integrity=integrity,
+                rebuild_fn=rebuild_fn, obs=obs, integrity=integrity,
                 incremental=incremental, cancel=cancel,
-            )
-        timings.vertex_move_s += time.perf_counter() - t0
-        timings.blockmodel_update_s += update_spent[0]
-        if incremental is not None:
-            # Maintenance time spent inside the vertex-move window only
-            # (merge-phase relabels stay inside block_merge_s, like the
-            # merge-round rebuilds always did).
-            timings.blockmodel_update_s += (
-                incremental.update_time_s - inc_spent0
             )
         return merge, move
 
@@ -273,7 +246,6 @@ class GSAPPartitioner:
         plateau_idx: int,
         streams: StreamFactory,
         degradation: _Degradation,
-        timings: PhaseTimings,
         stats: ResilienceStats,
         budget: FaultBudget,
         integrity=None,
@@ -293,7 +265,7 @@ class GSAPPartitioner:
                 return with_retries(
                     lambda attempt: self._run_plateau(
                         graph, resume, target, threshold, initial_mdl,
-                        plateau_idx, streams, degradation, timings,
+                        plateau_idx, streams, degradation,
                         integrity=integrity, cancel=cancel,
                     ),
                     policy,
@@ -433,6 +405,7 @@ class GSAPPartitioner:
         config = self.config
         rcfg = config.resilience
         device = self.device
+        profiler = device.profiler
         streams = StreamFactory(config.seed)
         stats = ResilienceStats()
         budget = FaultBudget(rcfg.fault_budget)
@@ -461,7 +434,20 @@ class GSAPPartitioner:
                 )
 
             search.observer = _record_snapshot
-        timings = PhaseTimings()
+        # Phase times are read off the profiler: this run's share of its
+        # per-phase wall totals, on top of a resumed run's checkpointed ones.
+        resumed_timings = PhaseTimings()
+        phase_wall_at_start = dict(profiler.phase_wall_s)
+
+        def phase_timings() -> PhaseTimings:
+            return PhaseTimings.from_phase_wall(
+                {
+                    name: wall - phase_wall_at_start.get(name, 0.0)
+                    for name, wall in profiler.phase_wall_s.items()
+                },
+                base=resumed_timings,
+            )
+
         prop_stats = ProposalStats()
         total_sweeps = 0
         plateaus = 0
@@ -485,7 +471,7 @@ class GSAPPartitioner:
             plateaus = ck.plateau
             initial_mdl = ck.initial_mdl
             total_sweeps = ck.num_sweeps
-            timings = ck.timings
+            resumed_timings = ck.timings
             prop_stats = ck.proposal_stats
             stats = ck.resilience
             stats.resumed_from = str(resume_from)
@@ -511,9 +497,10 @@ class GSAPPartitioner:
             bmap0 = np.arange(num_vertices, dtype=INDEX_DTYPE)
 
             def build_initial(_attempt: int) -> float:
-                blockmodel = degradation.rebuild_fn()(
-                    device, graph, bmap0, num_vertices, "block_merge"
-                )
+                with profiler.phase("block_merge"):
+                    blockmodel = degradation.rebuild_fn()(
+                        device, graph, bmap0, num_vertices
+                    )
                 return description_length(blockmodel, num_vertices, total_weight)
 
             initial_mdl = with_retries(
@@ -562,7 +549,7 @@ class GSAPPartitioner:
                     snapshots=list(search.snapshots),
                     graph_fingerprint=fingerprint,
                     config={"seed": config.seed},
-                    timings=timings,
+                    timings=phase_timings(),
                     proposal_stats=prop_stats,
                     resilience=stats,
                     degradation=degradation.to_dict(),
@@ -601,10 +588,8 @@ class GSAPPartitioner:
                 plateaus += 1
 
                 with obs.span("plateau", "plateau", index=plateau_idx) as p_span:
-                    t0 = time.perf_counter()
-                    with obs.span("golden_section", "phase", plateau=plateau_idx):
+                    with profiler.phase("golden_section", plateau=plateau_idx):
                         target, resume = search.next_target()
-                    timings.golden_section_s += time.perf_counter() - t0
 
                     threshold = (
                         config.delta_entropy_threshold1
@@ -613,30 +598,28 @@ class GSAPPartitioner:
                     )
                     merge, move = self._run_plateau_resilient(
                         graph, resume, target, threshold, initial_mdl,
-                        plateau_idx, streams, degradation, timings, stats,
+                        plateau_idx, streams, degradation, stats,
                         budget, integrity=integrity, cancel=cancel,
                     )
-                    # post-plateau site: move.mdl was computed from this very
-                    # blockmodel, so the audit can also check MDL drift here
-                    integrity.site(
-                        move.bmap, move.blockmodel, "golden_section",
-                        tracked_mdl=move.mdl,
-                    )
-                    prop_stats.merge_proposals += merge.num_proposals_evaluated
-                    prop_stats.merge_proposal_time_s += merge.proposal_time_s
-                    prop_stats.move_proposals += move.num_proposals
-                    prop_stats.move_proposal_time_s += move.proposal_time_s
-                    total_sweeps += move.num_sweeps
-
-                    t0 = time.perf_counter()
-                    with obs.span("golden_section", "phase", plateau=plateau_idx):
+                    with profiler.phase("golden_section", plateau=plateau_idx):
+                        # post-plateau site: move.mdl was computed from this
+                        # very blockmodel, so the audit can also check MDL
+                        # drift here
+                        integrity.site(
+                            move.bmap, move.blockmodel, "golden_section",
+                            tracked_mdl=move.mdl,
+                        )
                         search.update(
                             PartitionSnapshot(
                                 num_blocks=merge.num_blocks, mdl=move.mdl,
                                 bmap=move.bmap,
                             )
                         )
-                    timings.golden_section_s += time.perf_counter() - t0
+                    prop_stats.merge_proposals += merge.num_proposals_evaluated
+                    prop_stats.merge_proposal_time_s += merge.proposal_time_s
+                    prop_stats.move_proposals += move.num_proposals
+                    prop_stats.move_proposal_time_s += move.proposal_time_s
+                    total_sweeps += move.num_sweeps
                     p_span.set(
                         target=target, num_blocks=merge.num_blocks,
                         mdl=move.mdl, sweeps=move.num_sweeps,
@@ -727,7 +710,7 @@ class GSAPPartitioner:
             num_blocks=best.num_blocks,
             mdl=best.mdl,
             history=list(search.history),
-            timings=timings,
+            timings=phase_timings(),
             proposal_stats=prop_stats,
             total_time_s=time.perf_counter() - run_start,
             sim_time_s=device.sim_time_s - sim_start + sim_offset,

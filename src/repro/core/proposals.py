@@ -111,7 +111,6 @@ def propose_block_merges(
     bm: BlockmodelCSR,
     rng: np.random.Generator,
     num_proposals: int,
-    phase: str = "block_merge",
 ) -> ProposalBatch:
     """Algorithm 1 over every block × ``num_proposals`` slots.
 
@@ -130,7 +129,7 @@ def propose_block_merges(
     # a block's proposals differ across rounds; slot k·B + u still finds
     # round k's pre-drawn neighbour of block u for Algorithm 1 line 10.
     tables = build_lookup_tables(
-        device, rng, num_slots, b, ptr, nbr, wgt, rows=proposers, phase=phase
+        device, rng, num_slots, b, ptr, nbr, wgt, rows=proposers
     )
 
     def kernel() -> np.ndarray:
@@ -156,7 +155,6 @@ def propose_block_merges(
         "propose_block_merge",
         KernelCost(work_items=num_slots, ops_per_item=8.0),
         kernel,
-        phase,
     )
     return ProposalBatch(proposers=proposers, proposals=proposals, tables=tables)
 
@@ -169,7 +167,6 @@ def propose_vertex_moves(
     vertices: np.ndarray,
     rng: np.random.Generator,
     vertex_adjacency: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-    phase: str = "vertex_move",
 ) -> ProposalBatch:
     """Algorithm 1 for a batch of vertices (the vertex-move variant).
 
@@ -201,13 +198,13 @@ def propose_vertex_moves(
         Stream(device),
         Stream(device),
     )
-    uniform = uniform_table(device, rng, num_slots, phase, stream=s_uniform)
-    rand_blk = random_block_table(device, rng, num_slots, b, phase, stream=s_random)
+    uniform = uniform_table(device, rng, num_slots, stream=s_uniform)
+    rand_blk = random_block_table(device, rng, num_slots, b, stream=s_random)
     nbr_vertex = multinomial_neighbor_table(
-        device, rng, v_ptr, v_nbr, v_wgt, rows=vertices, phase=phase, stream=s_multi
+        device, rng, v_ptr, v_nbr, v_wgt, rows=vertices, stream=s_multi
     )
     block_multi = multinomial_neighbor_table(
-        device, rng, b_ptr, b_nbr, b_wgt, rows=None, phase=phase, stream=s_bmulti
+        device, rng, b_ptr, b_nbr, b_wgt, rows=None, stream=s_bmulti
     )
     tables = LookupTables(
         uniform=uniform,
@@ -229,6 +226,5 @@ def propose_vertex_moves(
         "propose_vertex_move",
         KernelCost(work_items=max(num_slots, 1), ops_per_item=8.0),
         kernel,
-        phase,
     )
     return ProposalBatch(proposers=vertices, proposals=proposals, tables=tables)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Mapping, Optional
+
 from ..types import IndexArray
 
 
@@ -25,17 +27,38 @@ class PhaseTimings:
     """Wall-clock seconds attributed to each SBP phase (paper Fig. 10).
 
     ``blockmodel_update_s`` tracks the time the vertex-move phase spent
-    rebuilding the blockmodel (paper Algorithm 2, the Fig. 12 subject).
-    It is a *subset* of ``vertex_move_s`` — kept out of :attr:`total_s`
-    and :meth:`shares` so the three top-level phases still sum to the
-    whole run — and makes the update-vs-MCMC split measurable from
-    timings alone.
+    updating the blockmodel after accepted batches (paper Algorithm 2,
+    the Fig. 12 subject).  It is a *subset* of ``vertex_move_s`` — kept
+    out of :attr:`total_s` and :meth:`shares` so the three top-level
+    phases still sum to the whole run — and makes the update-vs-MCMC
+    split measurable from timings alone.
+
+    Partitioners read these off a
+    :class:`~repro.gpusim.profiler.Profiler`'s phase scopes with
+    :meth:`from_phase_wall`.
     """
 
     block_merge_s: float = 0.0
     vertex_move_s: float = 0.0
     golden_section_s: float = 0.0
     blockmodel_update_s: float = 0.0
+
+    @classmethod
+    def from_phase_wall(
+        cls,
+        phase_wall_s: Mapping[str, float],
+        base: Optional["PhaseTimings"] = None,
+    ) -> "PhaseTimings":
+        """*base* plus per-phase wall seconds keyed by phase name.
+
+        Field ``<phase>_s`` takes the seconds of phase ``<phase>``.
+        """
+        base = base or cls()
+        return cls(**{
+            f.name: getattr(base, f.name)
+            + phase_wall_s.get(f.name[: -len("_s")], 0.0)
+            for f in fields(cls)
+        })
 
     @property
     def total_s(self) -> float:

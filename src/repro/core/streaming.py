@@ -161,18 +161,19 @@ class StreamingGSAP:
                         config.integrity, device, graph,
                         budget=budget, resilience_stats=stats,
                     )
-                    blockmodel = rebuild_blockmodel(
-                        device, graph, stage_bmap, entry_blocks, "vertex_move"
-                    )
-                    blockmodel = integrity.site(
-                        stage_bmap, blockmodel, "vertex_move"
-                    )
-                    return run_vertex_move_phase(
-                        device, graph, blockmodel, stage_bmap, config,
-                        streams.get("refine", idx),
-                        config.delta_entropy_threshold2,
-                        integrity=integrity,
-                    )
+                    with device.profiler.phase("vertex_move"):
+                        blockmodel = rebuild_blockmodel(
+                            device, graph, stage_bmap, entry_blocks
+                        )
+                        blockmodel = integrity.site(
+                            stage_bmap, blockmodel, "vertex_move"
+                        )
+                        return run_vertex_move_phase(
+                            device, graph, blockmodel, stage_bmap, config,
+                            streams.get("refine", idx),
+                            config.delta_entropy_threshold2,
+                            integrity=integrity,
+                        )
 
                 outcome = with_retries(
                     refine_stage, policy, seed=config.seed,

@@ -107,7 +107,6 @@ def build_move_context(
     bmap: np.ndarray,
     vertices: np.ndarray,
     proposals: np.ndarray,
-    phase: str = PHASE,
 ) -> MoveDeltaContext:
     """Aggregate every mover's adjacency by block (one device pass)."""
     vertices = np.asarray(vertices, dtype=INDEX_DTYPE)
@@ -140,7 +139,7 @@ def build_move_context(
         + (graph.in_adj.ptr[vertices + 1] - graph.in_adj.ptr[vertices]).sum()
     )
     return device.execute(
-        "build_move_context", KernelCost(max(work, 1), 4.0), body, phase
+        "build_move_context", KernelCost(max(work, 1), 4.0), body
     )
 
 
@@ -174,6 +173,11 @@ def run_vertex_move_phase(
     cancel=None,
 ) -> VertexMoveOutcome:
     """Run batched async-Gibbs sweeps until the MDL plateaus.
+
+    Each accepted batch's blockmodel update runs in a nested
+    ``blockmodel_update`` scope on ``device.profiler`` (the Fig. 12
+    split of the vertex-move time); its kernels stay charged to the
+    caller's outer phase scope.
 
     Parameters
     ----------
@@ -246,17 +250,15 @@ def run_vertex_move_phase(
                 t0 = time.perf_counter()
                 prop = propose_vertex_moves(
                     device, graph, blockmodel, bmap, batch, rng,
-                    vertex_adjacency=vertex_adj, phase=PHASE,
+                    vertex_adjacency=vertex_adj,
                 )
                 proposal_time += time.perf_counter() - t0
                 proposals_total += len(batch)
                 ctx = build_move_context(
-                    device, graph, bmap, batch, prop.proposals, PHASE
+                    device, graph, bmap, batch, prop.proposals
                 )
                 if term_sums is None or term_sums_for is not blockmodel:
-                    term_sums = precompute_block_term_sums(
-                        device, blockmodel, PHASE
-                    )
+                    term_sums = precompute_block_term_sums(device, blockmodel)
                     term_sums_for = blockmodel
                 else:
                     obs.count(
@@ -264,9 +266,9 @@ def run_vertex_move_phase(
                         help="per-batch term-sum recomputes skipped "
                         "(blockmodel unchanged or sums patched)",
                     )
-                delta = move_delta_batch(device, blockmodel, ctx, term_sums, PHASE)
-                hastings = hastings_correction_batch(device, blockmodel, ctx, PHASE)
-                accept = accept_moves(device, delta, hastings, config.beta, rng, PHASE)
+                delta = move_delta_batch(device, blockmodel, ctx, term_sums)
+                hastings = hastings_correction_batch(device, blockmodel, ctx)
+                accept = accept_moves(device, delta, hastings, config.beta, rng)
                 accept &= ctx.r != ctx.s
                 num_accepted = int(accept.sum())
                 obs.count(
@@ -286,17 +288,20 @@ def run_vertex_move_phase(
                     movers = batch[accept]
                     bmap[movers] = prop.proposals[accept]
                     accepted_total += num_accepted
+                    with device.profiler.phase("blockmodel_update"):
+                        if incremental is not None:
+                            blockmodel = incremental.apply_batch(
+                                bmap, movers, ctx.r[accept],
+                                prop.proposals[accept],
+                            )
+                        else:
+                            blockmodel = rebuild_fn(
+                                device, graph, bmap, blockmodel.num_blocks
+                            )
                     if incremental is not None:
-                        blockmodel, term_sums = incremental.apply_batch(
-                            bmap, movers, ctx.r[accept],
-                            prop.proposals[accept], PHASE,
-                            term_sums=term_sums,
-                        )
+                        term_sums = incremental.patch_term_sums(term_sums)
                         term_sums_for = blockmodel if term_sums is not None else None
                     else:
-                        blockmodel = rebuild_fn(
-                            device, graph, bmap, blockmodel.num_blocks, PHASE
-                        )
                         term_sums, term_sums_for = None, None
                         obs.count(
                             "blockmodel_full_rebuilds_total",

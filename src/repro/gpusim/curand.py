@@ -32,15 +32,14 @@ def uniform_table(
     device: Device,
     rng: np.random.Generator,
     size: int,
-    phase: Optional[str] = None,
     stream: Optional[Stream] = None,
 ) -> np.ndarray:
     """Batch of ``size`` uniforms in [0, 1) (cuRAND uniform generator)."""
     cost = KernelCost(work_items=max(size, 1), ops_per_item=4.0)
     body = lambda: rng.random(size, dtype=FLOAT_DTYPE)
     if stream is not None:
-        return stream.launch("curand_uniform", cost, body, phase)
-    return device.execute("curand_uniform", cost, body, phase)
+        return stream.launch("curand_uniform", cost, body)
+    return device.execute("curand_uniform", cost, body)
 
 
 def random_block_table(
@@ -48,15 +47,14 @@ def random_block_table(
     rng: np.random.Generator,
     size: int,
     num_blocks: int,
-    phase: Optional[str] = None,
     stream: Optional[Stream] = None,
 ) -> np.ndarray:
     """Batch of ``size`` uniformly random block ids in [0, num_blocks)."""
     cost = KernelCost(work_items=max(size, 1), ops_per_item=4.0)
     body = lambda: rng.integers(0, max(num_blocks, 1), size=size, dtype=INDEX_DTYPE)
     if stream is not None:
-        return stream.launch("curand_random_block", cost, body, phase)
-    return device.execute("curand_random_block", cost, body, phase)
+        return stream.launch("curand_random_block", cost, body)
+    return device.execute("curand_random_block", cost, body)
 
 
 def multinomial_neighbor_table(
@@ -66,7 +64,6 @@ def multinomial_neighbor_table(
     nbr: np.ndarray,
     wgt: np.ndarray,
     rows: Optional[np.ndarray] = None,
-    phase: Optional[str] = None,
     stream: Optional[Stream] = None,
 ) -> np.ndarray:
     """Draw, per row, one neighbour with probability ∝ edge weight.
@@ -115,8 +112,8 @@ def multinomial_neighbor_table(
     cost = KernelCost(work_items=max(len(rows), 1), ops_per_item=8.0,
                       bytes_moved=8 * (len(rows) * 4 + len(wgt)))
     if stream is not None:
-        return stream.launch("curand_multinomial", cost, body, phase)
-    return device.execute("curand_multinomial", cost, body, phase)
+        return stream.launch("curand_multinomial", cost, body)
+    return device.execute("curand_multinomial", cost, body)
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,6 @@ def build_lookup_tables(
     nbr: np.ndarray,
     wgt: np.ndarray,
     rows: Optional[np.ndarray] = None,
-    phase: Optional[str] = None,
 ) -> LookupTables:
     """Build all three tables on concurrent streams (paper Fig. 4).
 
@@ -148,12 +144,12 @@ def build_lookup_tables(
     multinomial table has one entry per *row* in ``rows``.
     """
     s_uniform, s_random, s_multi = Stream(device), Stream(device), Stream(device)
-    uniform = uniform_table(device, rng, num_slots, phase, stream=s_uniform)
+    uniform = uniform_table(device, rng, num_slots, stream=s_uniform)
     random_block = random_block_table(
-        device, rng, num_slots, num_blocks, phase, stream=s_random
+        device, rng, num_slots, num_blocks, stream=s_random
     )
     multinomial = multinomial_neighbor_table(
-        device, rng, ptr, nbr, wgt, rows=rows, phase=phase, stream=s_multi
+        device, rng, ptr, nbr, wgt, rows=rows, stream=s_multi
     )
     return LookupTables(
         uniform=uniform,

@@ -110,18 +110,15 @@ class Device:
     assigned to :attr:`fault_injector`; when present it is consulted
     before every kernel launch and may raise injected device errors.
 
-    A span tracer (:class:`repro.obs.Tracer`) may be assigned to
-    :attr:`tracer` (usually via
-    :meth:`repro.obs.Observability.attach_device`); when present and
-    enabled, every kernel launch is mirrored as a leaf span nested
-    under whatever span the caller has open.
+    Kernels are charged to the outermost phase scope open on
+    :attr:`profiler` (``with device.profiler.phase("vertex_move"):``);
+    the profiler also mirrors every launch into its span tracer.
     """
 
     def __init__(self, spec: DeviceSpec = A4000) -> None:
         self.spec = spec
         self.profiler = Profiler()
         self.fault_injector = None
-        self.tracer = None
         self._sim_time_s = 0.0
 
     # ------------------------------------------------------------------
@@ -150,10 +147,13 @@ class Device:
         sim_s: float,
         work_items: int,
         bytes_moved: int,
+        start_s: Optional[float] = None,
     ) -> None:
         """Charge one launch to the sim clock and the kernel ledger."""
         self._sim_time_s += sim_s
-        self.profiler.add(phase, name, wall_s, sim_s, work_items, bytes_moved)
+        self.profiler.add(
+            phase, name, wall_s, sim_s, work_items, bytes_moved, start_s
+        )
 
     # ------------------------------------------------------------------
     # kernel execution
@@ -176,36 +176,24 @@ class Device:
         body:
             Zero-argument callable executing the vectorized kernel.
         phase:
-            Optional phase label (``block_merge`` / ``vertex_move`` /
-            ``update`` / ...) for breakdown reports.
+            Phase label for breakdown reports; defaults to the profiler's
+            outermost open phase scope, else ``"unphased"``.
         """
         if cost.work_items < 0:
             raise KernelLaunchError(
                 f"kernel {name!r} launched with negative work: {cost.work_items}"
             )
         nbytes = cost.resolved_bytes()
+        phase = phase or self.profiler.current_phase
         if self.fault_injector is not None:
             self.fault_injector.on_kernel(name, phase, nbytes)
         start = time.perf_counter()
         result = body()
         wall = time.perf_counter() - start
         sim = self.spec.kernel_launch_overhead_s + self.roofline_s(cost)
-        phase = phase or "unphased"
-        self.account(name, phase, wall, sim, cost.work_items, nbytes)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.add_complete(
-                name,
-                "kernel",
-                wall,
-                start_abs_s=start,
-                args={
-                    "phase": phase,
-                    "work_items": cost.work_items,
-                    "sim_time_s": sim,
-                    "bytes_moved": nbytes,
-                },
-            )
+        self.account(
+            name, phase or "unphased", wall, sim, cost.work_items, nbytes, start
+        )
         return result
 
 

@@ -29,9 +29,7 @@ def _cost_linear(n: int, ops: float = 1.0, words: int = 2) -> KernelCost:
     return KernelCost(work_items=max(n, 1), ops_per_item=ops, bytes_moved=8 * words * max(n, 1))
 
 
-def exclusive_scan(
-    device: Device, values: np.ndarray, phase: Optional[str] = None
-) -> np.ndarray:
+def exclusive_scan(device: Device, values: np.ndarray) -> np.ndarray:
     """Exclusive prefix sum: ``out[i] = sum(values[:i])``, ``len = n + 1``.
 
     Returns ``n + 1`` entries so the result can serve directly as a CSR
@@ -45,11 +43,11 @@ def exclusive_scan(
         np.cumsum(values, out=out[1:])
         return out
 
-    return device.execute("exclusive_scan", _cost_linear(len(values), 2.0), body, phase)
+    return device.execute("exclusive_scan", _cost_linear(len(values), 2.0), body)
 
 
 def gather(
-    device: Device, source: np.ndarray, indices: np.ndarray, phase: Optional[str] = None
+    device: Device, source: np.ndarray, indices: np.ndarray
 ) -> np.ndarray:
     """Random-access gather ``out[i] = source[indices[i]]``."""
     source = np.asarray(source)
@@ -58,7 +56,6 @@ def gather(
         "gather",
         _cost_linear(len(indices), 1.0, words=3),
         lambda: source[indices],
-        phase,
     )
 
 
@@ -67,21 +64,19 @@ def scatter(
     target: np.ndarray,
     indices: np.ndarray,
     values: np.ndarray,
-    phase: Optional[str] = None,
 ) -> None:
     """Random-access scatter ``target[indices[i]] = values[i]`` (in place)."""
 
     def body() -> None:
         target[indices] = values
 
-    device.execute("scatter", _cost_linear(len(indices), 1.0, words=3), body, phase)
+    device.execute("scatter", _cost_linear(len(indices), 1.0, words=3), body)
 
 
 def sort_by_key(
     device: Device,
     keys: np.ndarray,
     values: np.ndarray,
-    phase: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Stable sort of ``(keys, values)`` pairs by key (thrust::sort_by_key)."""
     keys = np.asarray(keys)
@@ -94,26 +89,21 @@ def sort_by_key(
         return keys[order], values[order]
 
     return device.execute(
-        "sort_by_key", _cost_linear(len(keys), _LOG2_SORT_FACTOR, 4), body, phase
+        "sort_by_key", _cost_linear(len(keys), _LOG2_SORT_FACTOR, 4), body
     )
 
 
-def argsort_by_key(
-    device: Device, keys: np.ndarray, phase: Optional[str] = None
-) -> np.ndarray:
+def argsort_by_key(device: Device, keys: np.ndarray) -> np.ndarray:
     """Stable argsort (returns the permutation, as CUB's sort-pairs does)."""
     keys = np.asarray(keys)
     return device.execute(
         "argsort_by_key",
         _cost_linear(len(keys), _LOG2_SORT_FACTOR, 4),
         lambda: np.argsort(keys, kind="stable"),
-        phase,
     )
 
 
-def segment_ids_from_ptr(
-    device: Device, seg_ptr: np.ndarray, phase: Optional[str] = None
-) -> np.ndarray:
+def segment_ids_from_ptr(device: Device, seg_ptr: np.ndarray) -> np.ndarray:
     """Expand a CSR pointer array into per-element segment ids."""
     seg_ptr = np.asarray(seg_ptr)
     lengths = seg_ptr[1:] - seg_ptr[:-1]
@@ -124,7 +114,7 @@ def segment_ids_from_ptr(
             np.arange(len(lengths), dtype=INDEX_DTYPE), lengths
         )
 
-    return device.execute("segment_ids", _cost_linear(total, 1.0), body, phase)
+    return device.execute("segment_ids", _cost_linear(total, 1.0), body)
 
 
 def segmented_sort(
@@ -132,7 +122,6 @@ def segmented_sort(
     seg_ids: np.ndarray,
     keys: np.ndarray,
     values: np.ndarray,
-    phase: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort ``(keys, values)`` within each segment (cub segmented sort).
 
@@ -149,7 +138,7 @@ def segmented_sort(
         return seg_ids[order], keys[order], values[order]
 
     return device.execute(
-        "segmented_sort", _cost_linear(len(keys), _LOG2_SORT_FACTOR, 6), body, phase
+        "segmented_sort", _cost_linear(len(keys), _LOG2_SORT_FACTOR, 6), body
     )
 
 
@@ -157,7 +146,6 @@ def find_subsegment_heads(
     device: Device,
     seg_ids: np.ndarray,
     keys: np.ndarray,
-    phase: Optional[str] = None,
 ) -> np.ndarray:
     """Flag positions starting a new (segment, key) run (paper Fig. 7 step).
 
@@ -178,7 +166,7 @@ def find_subsegment_heads(
         return heads
 
     return device.execute(
-        "find_subseg_heads", _cost_linear(len(keys), 2.0, 3), body, phase
+        "find_subseg_heads", _cost_linear(len(keys), 2.0, 3), body
     )
 
 
@@ -186,7 +174,6 @@ def segmented_reduce_sum(
     device: Device,
     values: np.ndarray,
     seg_ptr: np.ndarray,
-    phase: Optional[str] = None,
 ) -> np.ndarray:
     """Per-segment sums over a CSR-pointed layout (empty segments → 0).
 
@@ -224,7 +211,7 @@ def segmented_reduce_sum(
         return out
 
     return device.execute(
-        "segmented_reduce_sum", _cost_linear(len(values), 2.0), body, phase
+        "segmented_reduce_sum", _cost_linear(len(values), 2.0), body
     )
 
 
@@ -232,7 +219,6 @@ def reduce_by_key(
     device: Device,
     keys: np.ndarray,
     values: np.ndarray,
-    phase: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Compress consecutive equal keys, summing their values.
 
@@ -252,7 +238,7 @@ def reduce_by_key(
         starts = np.flatnonzero(heads)
         return keys[starts], np.add.reduceat(values, starts)
 
-    return device.execute("reduce_by_key", _cost_linear(len(keys), 3.0, 4), body, phase)
+    return device.execute("reduce_by_key", _cost_linear(len(keys), 3.0, 4), body)
 
 
 def segmented_reduce_by_key(
@@ -260,7 +246,6 @@ def segmented_reduce_by_key(
     seg_ids: np.ndarray,
     keys: np.ndarray,
     values: np.ndarray,
-    phase: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduce duplicate keys *within* segments (Algorithm 2 line 8).
 
@@ -284,7 +269,7 @@ def segmented_reduce_by_key(
         return seg_ids[starts], keys[starts], np.add.reduceat(values, starts)
 
     return device.execute(
-        "segmented_reduce_by_key", _cost_linear(len(keys), 3.0, 5), body, phase
+        "segmented_reduce_by_key", _cost_linear(len(keys), 3.0, 5), body
     )
 
 
@@ -292,7 +277,6 @@ def segmented_argmin(
     device: Device,
     values: np.ndarray,
     seg_ptr: np.ndarray,
-    phase: Optional[str] = None,
 ) -> np.ndarray:
     """Index (global) of the minimum value in each segment; -1 if empty."""
     values = np.asarray(values)
@@ -323,7 +307,7 @@ def segmented_argmin(
         return out
 
     return device.execute(
-        "segmented_argmin", _cost_linear(len(values), 3.0, 3), body, phase
+        "segmented_argmin", _cost_linear(len(values), 3.0, 3), body
     )
 
 
@@ -332,7 +316,6 @@ def bincount(
     values: np.ndarray,
     minlength: int,
     weights: Optional[np.ndarray] = None,
-    phase: Optional[str] = None,
 ) -> np.ndarray:
     """Histogram with atomic-add semantics (device-side ``atomicAdd``)."""
     values = np.asarray(values)
@@ -343,4 +326,4 @@ def bincount(
             return out.astype(INDEX_DTYPE)
         return out
 
-    return device.execute("bincount", _cost_linear(len(values), 1.5, 3), body, phase)
+    return device.execute("bincount", _cost_linear(len(values), 1.5, 3), body)

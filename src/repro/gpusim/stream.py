@@ -46,14 +46,13 @@ class Stream:
         name: str,
         cost: KernelCost,
         body: Callable[[], T],
-        phase: Optional[str] = None,
     ) -> T:
         """Execute *body* on this stream, advancing its timeline."""
         injector = getattr(self.device, "fault_injector", None)
         if injector is not None:
-            injector.on_stream_launch(name, phase)
+            injector.on_stream_launch(name, self.device.profiler.current_phase)
         before = self.device.sim_time_s
-        result = self.device.execute(name, cost, body, phase=phase)
+        result = self.device.execute(name, cost, body)
         duration = self.device.sim_time_s - before
         self._completion_time_s = max(
             self._completion_time_s, self._start_floor()

@@ -264,11 +264,11 @@ class IntegrityManager:
             with obs.span("repair", "integrity", rung=rung, phase=phase):
                 if rung == "targeted_rebuild":
                     candidate = rebuild_blockmodel(
-                        self.device, self.graph, bmap, num_blocks, phase
+                        self.device, self.graph, bmap, num_blocks
                     )
                 elif rung == "dense_rebuild":
                     candidate = rebuild_blockmodel_dense(
-                        self.device, self.graph, bmap, num_blocks, phase
+                        self.device, self.graph, bmap, num_blocks
                     )
                 elif rung == "checkpoint_restore":
                     if self.restore_assignment is None:
@@ -282,7 +282,7 @@ class IntegrityManager:
                     bmap[:] = restored_bmap
                     num_blocks = int(restored_blocks)
                     candidate = rebuild_blockmodel_dense(
-                        self.device, self.graph, bmap, num_blocks, phase
+                        self.device, self.graph, bmap, num_blocks
                     )
             if candidate is None:
                 continue

@@ -77,21 +77,22 @@ class Observability:
 
     @contextmanager
     def attach_device(self, device) -> Iterator[None]:
-        """Bridge a device's kernel launches into this tracer.
+        """Bridge a device's phase scopes and kernel launches into this tracer.
 
-        Sets ``device.tracer`` for the duration of the block (restoring
-        the previous tracer after), so kernel launches appear as leaf
-        spans under the active phase span.
+        Sets ``device.profiler.tracer`` for the duration of the block
+        (restoring the previous tracer after), so phase scopes appear as
+        ``phase`` spans with their kernel launches as leaf spans.
         """
-        if not self.enabled or not self.config.trace_kernels:
+        if not self.enabled:
             yield
             return
-        previous = getattr(device, "tracer", None)
-        device.tracer = self.tracer
+        profiler = device.profiler
+        previous = profiler.tracer
+        profiler.tracer = self.tracer
         try:
             yield
         finally:
-            device.tracer = previous
+            profiler.tracer = previous
 
     # ------------------------------------------------------------------
     # metrics

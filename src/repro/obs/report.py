@@ -13,7 +13,8 @@ captured data:
 * Fig. 11's per-proposal averages and the Fig. 12 blockmodel-update
   share of the vertex-move phase;
 * MCMC acceptance rate and ΔMDL quantiles when metrics were captured;
-* per-kernel and per-phase tables from the device's kernel ledger;
+* per-kernel and per-phase tables from the device's kernel ledger, each
+  phase with its host glue (phase wall time outside kernels);
 * what the resilience subsystem absorbed.
 
 :func:`run_report_markdown` renders the same dictionary as Markdown;
@@ -162,11 +163,15 @@ def build_run_report(
             }
             for s in kernels
         ]
+        # host glue: the phase scope's wall time outside its kernels
         report["device_phases"] = {
             phase: {
                 "wall_time_s": s.wall_time_s,
                 "sim_time_s": s.sim_time_s,
                 "launches": s.num_launches,
+                "host_glue_s": (
+                    profiler.phase_wall_s.get(phase, 0.0) - s.wall_time_s
+                ),
             }
             for phase, s in sorted(profiler.by_phase().items())
         }

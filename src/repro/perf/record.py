@@ -32,8 +32,7 @@ Schema sketch (version ``gsap-bench-record/1``)::
               "wall_s": [...], "sim_s": [...], "launches": [...],
               "work_items": [...], "bytes_moved": [...]}},
           "quality": {"mdl": [...], "nmi": [...], "ari": [...],
-                      "num_blocks": [...]},
-          "tracer":  {"spans": 123, "phase_s": {...}} | null
+                      "num_blocks": [...]}
         }
       ],
       "scaling": {                        # optional strong/weak-scaling curve
@@ -133,7 +132,6 @@ def new_workload(
         "phases": {},
         "kernels": {},
         "quality": {},
-        "tracer": None,
     }
 
 
@@ -235,6 +233,8 @@ def validate_record(record) -> List[str]:
                 _check_samples(
                     f"{where}.kernels[{kname!r}].{sub}", values, problems
                 )
+        # records written before phase spans were summed off the
+        # profiler carry a per-workload "tracer" summary
         tracer = wl.get("tracer")
         if tracer is not None and not isinstance(tracer, dict):
             problems.append(f"{where}.tracer: must be null or an object")

@@ -15,10 +15,11 @@ measurement discipline the one-shot harness lacks:
   process) biases all workloads — and in particular both sides of an
   A/B variant pair — equally instead of landing on whichever workload
   ran last;
-* **full attribution** — per-phase timings from the run result and the
-  ``obs`` tracer, per-kernel time/work-items/bytes from the simulated
-  device's profiler (keyed ``phase/kernel``), and quality metrics
-  (MDL/NMI/ARI) against the dataset's planted truth.
+* **full attribution** — per-phase timings from the run result (read
+  off the device profiler's phase scopes), per-kernel
+  time/work-items/bytes from the profiler's kernel ledger (keyed
+  ``phase/kernel``), and quality metrics (MDL/NMI/ARI) against the
+  dataset's planted truth.
 
 Each execution gets a *fresh* partitioner and device so profiler state
 never leaks across repeats.
@@ -85,23 +86,6 @@ def _kernel_table(profiler) -> Dict[str, dict]:
     }
 
 
-def _tracer_phases(obs) -> Optional[dict]:
-    """Aggregate phase-category span durations from the obs tracer."""
-    if obs is None or not getattr(obs, "enabled", False):
-        return None
-    totals: Dict[str, float] = {}
-    count = 0
-    for span in obs.tracer.spans():
-        count += 1
-        if span.category != "phase":
-            continue
-        duration = span.duration_s
-        if duration is None:
-            continue
-        totals[span.name] = totals.get(span.name, 0.0) + duration
-    return {"spans": count, "phase_s": totals}
-
-
 def run_workloads(
     workloads: Sequence[PerfWorkload],
     *,
@@ -119,8 +103,7 @@ def run_workloads(
     ``config`` overrides the base bench configuration (defaults to
     :func:`~repro.bench.workloads.bench_config` at the active scale).
     With ``collect_obs=False`` runs execute with observability disabled
-    (the ``NULL_OBS`` path): records then carry ``tracer: null`` but
-    remain schema-valid.  ``trace_out`` writes a Chrome trace of the
+    (the ``NULL_OBS`` path).  ``trace_out`` writes a Chrome trace of the
     last traced run (the CI perf-gate uploads it as an artifact).
     """
     if repeats < 1:
@@ -209,9 +192,7 @@ def run_workloads(
                 bucket["bytes_moved"].append(stats["bytes_moved"])
 
             obs = getattr(partitioner, "obs", None)
-            tracer_summary = _tracer_phases(obs)
-            if tracer_summary is not None:
-                entry["tracer"] = tracer_summary
+            if obs is not None and obs.enabled:
                 last_obs = obs
 
     # kernels that vanished in later repeats: pad the tail with zeros

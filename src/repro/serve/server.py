@@ -872,8 +872,12 @@ class PartitionServer:
         if tracer.enabled:
             for span in tracer.spans():
                 # keep the ring signal-dense: serve decisions and the
-                # partitioner's coarse structure, not per-kernel leaves
-                if span.category in ("serve", "run", "plateau", "phase"):
+                # partitioner's coarse structure, not the per-batch
+                # blockmodel_update scopes or per-kernel leaves
+                if span.category in ("serve", "run", "plateau") or (
+                    span.category == "phase"
+                    and span.name != "blockmodel_update"
+                ):
                     self.flight.append_span(span.to_dict())
         self.flight.append_wide_event(wide)
         self._record_slo(wide)

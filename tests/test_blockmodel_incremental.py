@@ -21,6 +21,7 @@ from repro.blockmodel import (
     description_length,
     rebuild_blockmodel,
 )
+from repro.blockmodel.delta import precompute_block_term_sums
 from repro.blockmodel.incremental import _PaddedRows
 from repro.config import ObservabilityConfig, SBPConfig
 from repro.core.block_merge import _UnionFind, apply_merges_with_relabel
@@ -77,7 +78,7 @@ class TestRandomizedSweep:
         for _ in range(12):
             movers, old, new = _random_batch(rng, bmap, num_blocks, 24)
             bmap[movers] = new
-            bm, _ = inc.apply_batch(bmap, movers, old, new)
+            bm = inc.apply_batch(bmap, movers, old, new)
             reference = rebuild_blockmodel(device, graph, bmap, num_blocks)
             _assert_models_identical(bm, reference)
             assert description_length(
@@ -88,8 +89,6 @@ class TestRandomizedSweep:
         assert inc.incremental_updates == 12
 
     def test_term_sums_patched_bit_identically(self):
-        from repro.blockmodel.delta import precompute_block_term_sums
-
         graph, truth = load_dataset("low_low", 200, seed=3)
         device = Device(A4000)
         rng = np.random.default_rng(5)
@@ -102,9 +101,8 @@ class TestRandomizedSweep:
         for _ in range(6):
             movers, old, new = _random_batch(rng, bmap, num_blocks, 8)
             bmap[movers] = new
-            bm, sums = inc.apply_batch(
-                bmap, movers, old, new, term_sums=sums
-            )
+            bm = inc.apply_batch(bmap, movers, old, new)
+            sums = inc.patch_term_sums(sums)
             fresh = precompute_block_term_sums(device, bm)
             if sums is None:  # footprint guard declined to patch
                 sums = fresh
@@ -147,7 +145,7 @@ class TestMoverNeighbours:
         old = bmap.copy()
         new = np.array([1, 0, 1, 0], dtype=np.int64)
         bmap[movers] = new
-        bm, _ = inc.apply_batch(bmap, movers, old, new)
+        bm = inc.apply_batch(bmap, movers, old, new)
         _assert_models_identical(
             bm, rebuild_blockmodel(device, tiny_graph, bmap, 2)
         )
@@ -217,8 +215,9 @@ class TestFallbackAndCadence:
         rng = np.random.default_rng(0)
         movers, old, new = _random_batch(rng, bmap, num_blocks, 16)
         bmap[movers] = new
-        bm, patched = inc.apply_batch(bmap, movers, old, new)
-        assert patched is None
+        sums = precompute_block_term_sums(device, inc.blockmodel)
+        bm = inc.apply_batch(bmap, movers, old, new)
+        assert inc.patch_term_sums(sums) is None
         assert inc.fallbacks == 1
         assert inc.full_rebuilds == 1
         assert inc.incremental_updates == 0

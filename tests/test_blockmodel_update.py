@@ -50,8 +50,8 @@ class TestRebuild:
             rebuild_blockmodel(device, tiny_graph, np.array([0, 1, 2, 5]), 3)
 
     def test_kernels_recorded_in_phase(self, device, tiny_graph):
-        rebuild_blockmodel(device, tiny_graph, np.array([0, 1, 0, 1]), 2,
-                           phase="my_phase")
+        with device.profiler.phase("my_phase"):
+            rebuild_blockmodel(device, tiny_graph, np.array([0, 1, 0, 1]), 2)
         phases = {phase for phase, _ in device.profiler.ledger}
         assert phases == {"my_phase"}
 

@@ -7,6 +7,7 @@ from repro.blockmodel.dense import DenseBlockmodel
 from repro.blockmodel.entropy import description_length
 from repro.config import SBPConfig
 from repro.core.partitioner import GSAPPartitioner, partition_graph
+from repro.core.state import PhaseTimings
 from repro.graph.builder import build_graph
 from repro.graph.datasets import load_dataset
 from repro.gpusim.device import A4000, Device
@@ -81,6 +82,15 @@ class TestFullRun:
         assert result.timings.block_merge_s > 0
         assert result.timings.vertex_move_s > 0
         assert result.timings.total_s <= result.total_time_s
+
+    def test_timings_read_off_the_profiler(self, lowlow_result):
+        _, _, result, device = lowlow_result
+        assert result.timings == PhaseTimings.from_phase_wall(
+            device.profiler.phase_wall_s
+        )
+        # the update scope nests inside the vertex-move scope
+        assert 0 < result.timings.blockmodel_update_s \
+            <= result.timings.vertex_move_s
 
     def test_vertex_move_dominates(self, lowlow_result):
         """The paper's headline profile: vertex-move is the bottleneck."""

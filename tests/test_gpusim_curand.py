@@ -29,7 +29,8 @@ class TestUniformTable:
         assert table.min() >= 0.0 and table.max() < 1.0
 
     def test_profiled(self, dev, rng):
-        uniform_table(dev, rng, 10, phase="block_merge")
+        with dev.profiler.phase("block_merge"):
+            uniform_table(dev, rng, 10)
         assert list(dev.profiler.ledger) == [("block_merge", "curand_uniform")]
 
 

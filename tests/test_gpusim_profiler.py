@@ -87,13 +87,19 @@ class TestAggregation:
 
 
 class _LaunchTape:
-    """Stands in for the device's span tracer: the device hands it each
-    launch's measured wall time."""
+    """Stands in for the profiler's span tracer: the profiler hands it
+    each launch's measured wall time (phase spans are ignored)."""
 
     enabled = True
 
     def __init__(self):
         self.walls = []
+
+    def begin(self, name, category, **_):
+        return -1
+
+    def end(self, index):
+        pass
 
     def add_complete(self, name, category, duration_s, **_):
         self.walls.append(duration_s)
@@ -107,11 +113,13 @@ class TestLedgerMatchesLaunches:
     def run(self):
         graph, _ = load_dataset("low_low", 200, seed=3)
         device = Device(A4000)
-        device.tracer = tape = _LaunchTape()
+        device.profiler.tracer = tape = _LaunchTape()
         launches = []
         execute = device.execute
 
         def recording_execute(name, cost, body, phase=None):
+            # the launch's phase is the outermost open phase scope
+            phase = phase or device.profiler.current_phase
             result = execute(name, cost, body, phase=phase)
             nbytes = cost.resolved_bytes()
             launches.append({
@@ -177,6 +185,16 @@ class TestLedgerMatchesLaunches:
                                                        rel=1e-9)
             assert summary.wall_time_s == pytest.approx(totals["wall_s"],
                                                         rel=1e-9)
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_every_kernel_is_phased(self, incremental):
+        graph, _ = load_dataset("low_low", 200, seed=3)
+        device = Device(A4000)
+        config = SBPConfig(max_num_nodal_itr=10, seed=4,
+                           incremental_updates=incremental)
+        GSAPPartitioner(config, device=device).partition(graph)
+        assert device.profiler.ledger
+        assert "unphased" not in device.profiler.by_phase()
 
     def test_clock_totals_match(self, run):
         device, launches = run

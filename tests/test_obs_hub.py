@@ -3,13 +3,15 @@
 import pytest
 
 from repro.config import ObservabilityConfig
+from repro.gpusim.profiler import Profiler
 from repro.obs import NULL_OBS, Observability
 from repro.obs.metrics import Counter, Histogram, Series
 from repro.obs.trace import _NULL_SPAN_CONTEXT
 
 
 class FakeDevice:
-    tracer = None
+    def __init__(self):
+        self.profiler = Profiler()
 
 
 class TestConstruction:
@@ -90,29 +92,19 @@ class TestEnabledRecorders:
 
 class TestAttachDevice:
     def test_bridges_and_restores_tracer(self):
-        obs = Observability(
-            ObservabilityConfig(enabled=True, trace_kernels=True)
-        )
+        obs = Observability(ObservabilityConfig(enabled=True))
         device = FakeDevice()
         sentinel = object()
-        device.tracer = sentinel
+        device.profiler.tracer = sentinel
         with obs.attach_device(device):
-            assert device.tracer is obs.tracer
-        assert device.tracer is sentinel
-
-    def test_no_bridge_when_kernels_off(self):
-        obs = Observability(
-            ObservabilityConfig(enabled=True, trace_kernels=False)
-        )
-        device = FakeDevice()
-        with obs.attach_device(device):
-            assert device.tracer is None
+            assert device.profiler.tracer is obs.tracer
+        assert device.profiler.tracer is sentinel
 
     def test_no_bridge_when_disabled(self):
         obs = Observability(enabled=False)
         device = FakeDevice()
         with obs.attach_device(device):
-            assert device.tracer is None
+            assert device.profiler.tracer is None
 
 
 class TestStateRoundTrip:

@@ -6,8 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.config import SBPConfig
+from repro.core.partitioner import GSAPPartitioner
 from repro.core.result import PartitionResult
 from repro.core.state import PhaseTimings, ProposalStats
+from repro.graph.datasets import load_dataset
+from repro.gpusim.device import A4000, Device
 from repro.gpusim.profiler import Profiler
 from repro.obs import Observability, build_run_report, write_run_report
 from repro.obs.report import run_report_markdown
@@ -79,6 +83,7 @@ class TestBuildReport:
         profiler.add("block_merge", "gather", 0.5, 0.1, 10, 80)
         profiler.add("vertex_move", "gather", 1.5, 0.2, 30, 240)
         profiler.add("vertex_move", "segmented_sort", 1.0, 0.3, 20, 160)
+        profiler.phase_wall_s.update(block_merge=0.5, vertex_move=3.0)
         report = build_run_report(result, profiler=profiler)
         kernels = {row["name"]: row for row in report["kernels"]}
         assert [row["name"] for row in report["kernels"]] == [
@@ -91,7 +96,24 @@ class TestBuildReport:
             "wall_time_s": pytest.approx(2.5),
             "sim_time_s": pytest.approx(0.5),
             "launches": 2,
+            "host_glue_s": pytest.approx(0.5),
         }
+
+    def test_host_glue_splits_phase_wall(self):
+        """Each ledger phase's wall time splits exactly into its kernels'
+        wall time and the host glue between them."""
+        graph, _ = load_dataset("low_low", 200, seed=3)
+        device = Device(A4000)
+        config = SBPConfig(max_num_nodal_itr=10, seed=4)
+        run = GSAPPartitioner(config, device=device).partition(graph)
+        rows = build_run_report(run, profiler=device.profiler)["device_phases"]
+        assert {"block_merge", "vertex_move"} <= set(rows)
+        for phase, row in rows.items():
+            phase_wall = getattr(run.timings, f"{phase}_s")
+            assert row["host_glue_s"] >= 0
+            assert row["host_glue_s"] + row["wall_time_s"] == pytest.approx(
+                phase_wall, rel=1e-9
+            )
 
     def test_disabled_obs_adds_no_metrics(self, result):
         report = build_run_report(result, obs=Observability(enabled=False))

@@ -255,7 +255,8 @@ class TestKillAndResume:
         assert 0 < ck.plateau < len(full.history)
 
         # resume on a healthy device: identical partition, MDL, history
-        resumed = GSAPPartitioner(config, device=Device(A4000)).partition(
+        resume_device = Device(A4000)
+        resumed = GSAPPartitioner(config, device=resume_device).partition(
             graph, resume_from=tmp_path
         )
         np.testing.assert_array_equal(resumed.partition, full.partition)
@@ -263,6 +264,10 @@ class TestKillAndResume:
         assert resumed.history == full.history
         assert resumed.resilience.resumed_from == str(tmp_path)
         assert resumed.converged
+        # phase times: the checkpointed totals plus the post-resume ones
+        assert resumed.timings == PhaseTimings.from_phase_wall(
+            resume_device.profiler.phase_wall_s, base=ck.timings
+        )
 
         # the finished run left a final checkpoint: resuming it again is
         # a no-op continue that reproduces the same result once more

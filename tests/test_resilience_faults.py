@@ -423,13 +423,14 @@ def matrix_graph():
 @pytest.fixture(scope="module")
 def baseline(matrix_graph):
     """Fault-free reference run, plus the largest ``bytes_moved`` of any
-    single vertex-move launch (collected by wrapping ``Device.execute``)."""
+    single vertex-move launch (collected by wrapping ``Device.execute``;
+    the launch's phase is the profiler's open phase scope)."""
     device = Device(A4000)
     vm_bytes = [0]
     execute = device.execute
 
     def recording_execute(name, cost, body, phase=None):
-        if phase == "vertex_move":
+        if (phase or device.profiler.current_phase) == "vertex_move":
             vm_bytes[0] = max(vm_bytes[0], cost.resolved_bytes())
         return execute(name, cost, body, phase=phase)
 

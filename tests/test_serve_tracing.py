@@ -372,20 +372,26 @@ class TestLiveOpsVerbs:
                 await writer.drain()
                 return json.loads(await reader.readline())
 
-            reply = await call({
-                "op": "partition", "src": [0, 1, 2], "dst": [1, 2, 0],
-                "config": {"seed": 3,
-                           "integrity": {"track_device_digests": True}},
-            })
+            replies = {}
+            for section, option in REMOVED_OPTIONS:
+                replies[option] = await call({
+                    "op": "partition", "src": [0, 1, 2], "dst": [1, 2, 0],
+                    "config": {"seed": 3, section: {option: True}},
+                })
             status = await call({"op": "status"})
             await server.shutdown("checkpoint")
             await frontend.close()
             writer.close()
-            return reply, status
+            return replies, status
 
-        reply, status = _run(drive())
-        assert reply["ok"] is False
-        assert "track_device_digests" in reply["error"]
+        REMOVED_OPTIONS = (
+            ("integrity", "track_device_digests"),
+            ("observability", "trace_kernels"),
+        )
+        replies, status = _run(drive())
+        for _, option in REMOVED_OPTIONS:
+            assert replies[option]["ok"] is False
+            assert option in replies[option]["error"]
         assert status["ok"]
 
 
