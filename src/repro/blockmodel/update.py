@@ -212,7 +212,7 @@ def rebuild_blockmodel_cpu(
     out_ptr = np.concatenate(
         ([0], np.cumsum(np.bincount(rows, minlength=num_blocks)))
     ).astype(INDEX_DTYPE)
-    order = np.lexsort((rows, cols))
+    order = prim.lex_order(cols, rows)
     in_rows, in_cols, in_wgts = cols[order], rows[order], wgts[order]
     in_ptr = np.concatenate(
         ([0], np.cumsum(np.bincount(in_rows, minlength=num_blocks)))

@@ -23,6 +23,7 @@ from ..types import INDEX_DTYPE
 from .device import Device, KernelCost
 
 _LOG2_SORT_FACTOR = 20.0  # ops/item charged for a device radix/merge sort
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _cost_linear(n: int, ops: float = 1.0, words: int = 2) -> KernelCost:
@@ -117,6 +118,33 @@ def segment_ids_from_ptr(device: Device, seg_ptr: np.ndarray) -> np.ndarray:
     return device.execute("segment_ids", _cost_linear(total, 1.0), body)
 
 
+def lex_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """Stable permutation ordering elements by ``(major, minor)``.
+
+    Returns the permutation ``lexsort((minor, major))`` returns.  A host
+    helper, not a kernel launch: one stable argsort on the composite
+    int64 key ``(major - min)·span + (minor - min)``, with
+    ``span = minor range + 1``, instead of lexsort's two stable passes.
+    Integer ids only; the min shift handles negative ones.  Ids whose
+    key would not fit in int64 take the lexsort fallback; only corrupted
+    ids get there (e.g. a bitflipped CSR array), and they must sort
+    exactly as lexsort sorts them.
+    """
+    major = np.asarray(major)
+    minor = np.asarray(minor)
+    if len(major) == 0:
+        return np.empty(0, dtype=np.intp)
+    lo_major, hi_major = int(major.min()), int(major.max())
+    lo_minor, hi_minor = int(minor.min()), int(minor.max())
+    span = hi_minor - lo_minor + 1
+    if (hi_major - lo_major + 1) * span - 1 > _INT64_MAX:
+        return np.lexsort((minor, major))
+    key = np.subtract(major, lo_major, dtype=np.int64)
+    key *= span
+    key += np.subtract(minor, lo_minor, dtype=np.int64)
+    return np.argsort(key, kind="stable")
+
+
 def segmented_sort(
     device: Device,
     seg_ids: np.ndarray,
@@ -133,8 +161,7 @@ def segmented_sort(
     values = np.asarray(values)
 
     def body() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Composite-key trick: one global stable sort on (seg, key).
-        order = np.lexsort((keys, seg_ids))
+        order = lex_order(seg_ids, keys)
         return seg_ids[order], keys[order], values[order]
 
     return device.execute(

@@ -141,6 +141,14 @@ class Profiler:
             summaries.setdefault(entry.phase, KernelTotals(phase=entry.phase)).add(entry)
         return summaries
 
+    def host_glue_s(self) -> Dict[str, float]:
+        """Per phase with kernels: its scopes' wall time outside those
+        kernels (phase wall − summed kernel wall), i.e. host glue."""
+        return {
+            phase: self.phase_wall_s.get(phase, 0.0) - s.wall_time_s
+            for phase, s in self.by_phase().items()
+        }
+
     def by_kernel(self) -> Dict[str, KernelTotals]:
         """Totals per kernel name, summed over phases."""
         summaries: Dict[str, KernelTotals] = {}

@@ -31,6 +31,7 @@ import numpy as np
 from ..blockmodel.blockmodel import BlockmodelCSR
 from ..blockmodel.entropy import description_length
 from ..errors import GraphValidationError, NumericalError
+from ..gpusim.primitives import lex_order
 from ..types import INDEX_DTYPE, WEIGHT_DTYPE
 
 #: Tags naming every corruptible structure an integrity site exposes.
@@ -103,7 +104,7 @@ def reference_blockmodel(graph, bmap: np.ndarray, num_blocks: int) -> Blockmodel
     out_ptr = np.concatenate(
         ([0], np.cumsum(np.bincount(out_rows, minlength=num_blocks)))
     ).astype(INDEX_DTYPE)
-    in_order = np.lexsort((out_rows, out_cols))
+    in_order = lex_order(out_cols, out_rows)
     in_rows = out_cols[in_order]
     in_ptr = np.concatenate(
         ([0], np.cumsum(np.bincount(in_rows, minlength=num_blocks)))

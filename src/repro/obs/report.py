@@ -163,15 +163,13 @@ def build_run_report(
             }
             for s in kernels
         ]
-        # host glue: the phase scope's wall time outside its kernels
+        glue = profiler.host_glue_s()
         report["device_phases"] = {
             phase: {
                 "wall_time_s": s.wall_time_s,
                 "sim_time_s": s.sim_time_s,
                 "launches": s.num_launches,
-                "host_glue_s": (
-                    profiler.phase_wall_s.get(phase, 0.0) - s.wall_time_s
-                ),
+                "host_glue_s": glue[phase],
             }
             for phase, s in sorted(profiler.by_phase().items())
         }

@@ -28,6 +28,7 @@ Schema sketch (version ``gsap-bench-record/1``)::
           "num_vertices": 200, "num_edges": 1598, "variant": "",
           "samples": {"runtime_s": [...], "sim_time_s": [...]},
           "phases":  {"block_merge_s": [...], ...},
+          "host_glue": {"vertex_move_s": [...], ...},  # optional
           "kernels": {"vertex_move/segmented_reduce": {
               "wall_s": [...], "sim_s": [...], "launches": [...],
               "work_items": [...], "bytes_moved": [...]}},
@@ -44,8 +45,11 @@ Schema sketch (version ``gsap-bench-record/1``)::
       }
     }
 
-Every list under ``samples``/``phases``/``quality`` has one entry per
-retained repeat (warmup repeats are discarded before recording).
+Every list under ``samples``/``phases``/``host_glue``/``quality`` has
+one entry per retained repeat (warmup repeats are discarded before
+recording).  ``host_glue`` holds, per phase that launched kernels, the
+phase's wall time minus its kernels' summed wall time (the run report's
+``host_glue_s``).
 Kernel keys are ``phase/kernel_name`` so a diff can distinguish
 ``vertex_move/segmented_reduce`` from the same primitive launched
 during block-merge.
@@ -130,6 +134,7 @@ def new_workload(
         "variant": variant,
         "samples": {"runtime_s": [], "sim_time_s": []},
         "phases": {},
+        "host_glue": {},
         "kernels": {},
         "quality": {},
     }
@@ -202,6 +207,7 @@ def validate_record(record) -> List[str]:
         for fam_name, fam, required in (
             ("samples", samples, _SAMPLE_KEYS),
             ("phases", wl.get("phases") or {}, ()),
+            ("host_glue", wl.get("host_glue") or {}, ()),
             ("quality", wl.get("quality") or {}, ()),
         ):
             if not isinstance(fam, dict):

@@ -16,7 +16,8 @@ measurement discipline the one-shot harness lacks:
   A/B variant pair — equally instead of landing on whichever workload
   ran last;
 * **full attribution** — per-phase timings from the run result (read
-  off the device profiler's phase scopes), per-kernel
+  off the device profiler's phase scopes), per-phase host glue (phase
+  wall minus its kernels' wall, as in the run report), per-kernel
   time/work-items/bytes from the profiler's kernel ledger (keyed
   ``phase/kernel``), and quality metrics (MDL/NMI/ARI) against the
   dataset's planted truth.
@@ -172,37 +173,25 @@ def run_workloads(
             profiler = getattr(
                 getattr(partitioner, "device", None), "profiler", None
             )
-            # samples recorded for this workload *before* this repeat;
-            # a kernel first seen now (e.g. after a degradation rung)
-            # back-fills zeros so every list stays one-sample-per-repeat
-            prior = len(entry["samples"]["runtime_s"]) - 1
+            # a kernel or phase missing from some repeats (e.g. one only
+            # a degradation rung launches) reads 0 there, so every list
+            # stays one-sample-per-repeat
+            n = len(entry["samples"]["runtime_s"])
             for key, stats in _kernel_table(profiler).items():
-                bucket = entry["kernels"].get(key)
-                if bucket is None:
-                    bucket = {
-                        "wall_s": [0.0] * prior, "sim_s": [0.0] * prior,
-                        "launches": [0] * prior, "work_items": [0] * prior,
-                        "bytes_moved": [0] * prior,
-                    }
-                    entry["kernels"][key] = bucket
-                bucket["wall_s"].append(stats["wall_s"])
-                bucket["sim_s"].append(stats["sim_s"])
-                bucket["launches"].append(stats["launches"])
-                bucket["work_items"].append(stats["work_items"])
-                bucket["bytes_moved"].append(stats["bytes_moved"])
+                bucket = entry["kernels"].setdefault(key, {})
+                for sub, value in stats.items():
+                    bucket.setdefault(sub, [0] * (n - 1)).append(value)
+            glue = profiler.host_glue_s() if profiler is not None else {}
+            for phase, value in glue.items():
+                entry["host_glue"].setdefault(f"{phase}_s", [0] * (n - 1)).append(value)
+            for values in [*entry["host_glue"].values(),
+                           *(v for s in entry["kernels"].values() for v in s.values())]:
+                values.extend([0] * (n - len(values)))
 
             obs = getattr(partitioner, "obs", None)
             if obs is not None and obs.enabled:
                 last_obs = obs
 
-    # kernels that vanished in later repeats: pad the tail with zeros
-    for entry in record["workloads"]:
-        n = len(entry["samples"]["runtime_s"])
-        for stats in entry["kernels"].values():
-            for sub, values in stats.items():
-                fill = 0.0 if sub in ("wall_s", "sim_s") else 0
-                while len(values) < n:
-                    values.append(fill)
     if trace_out is not None and last_obs is not None:
         from ..obs import write_chrome_trace
 

@@ -121,6 +121,110 @@ def test_segmented_sort_matches_python_oracle(rows):
     np.testing.assert_array_equal(s, [r[0] for r in expected])
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3),
+                  st.floats(allow_nan=False, width=64)),
+        max_size=60,
+    )
+)
+def test_segmented_sort_tied_keys_keep_float_values_bitwise(rows):
+    """Tied (segment, key) pairs keep input order, so downstream float
+    sums see their terms in the same order as a lexsort would give."""
+    rows.sort(key=lambda r: r[0])
+    seg = np.array([r[0] for r in rows], dtype=np.int64)
+    keys = np.array([r[1] for r in rows], dtype=np.int64)
+    vals = np.array([r[2] for r in rows], dtype=np.float64)
+    _, _, v = prim.segmented_sort(Device(A4000), seg, keys, vals)
+    assert v.tobytes() == vals[np.lexsort((keys, seg))].tobytes()
+
+
+# ----------------------------------------------------------------------
+# lex_order (host helper behind segmented_sort and the CSR transposes)
+# ----------------------------------------------------------------------
+@st.composite
+def id_pairs(draw):
+    """Equal-length (major, minor) id arrays, majors grouped or not; id
+    ranges vary from a few ids to ~2**31, so spans small and wide occur."""
+    bound = draw(st.sampled_from([2, 50, 10_000, 2**30]))
+    ids = st.integers(-bound, bound)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=80))
+    grouped = draw(st.booleans())
+    if grouped:
+        pairs.sort(key=lambda p: p[0])
+    major = np.array([p[0] for p in pairs], dtype=np.int64)
+    minor = np.array([p[1] for p in pairs], dtype=np.int64)
+    return major, minor
+
+
+@settings(max_examples=200, deadline=None)
+@given(id_pairs())
+def test_lex_order_matches_lexsort(arrays):
+    major, minor = arrays
+    np.testing.assert_array_equal(
+        prim.lex_order(major, minor), np.lexsort((minor, major))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
+                          st.integers(-2**63, 2**63 - 1)), max_size=20))
+def test_lex_order_matches_lexsort_on_full_int64_range(pairs):
+    major = np.array([p[0] for p in pairs], dtype=np.int64)
+    minor = np.array([p[1] for p in pairs], dtype=np.int64)
+    np.testing.assert_array_equal(
+        prim.lex_order(major, minor), np.lexsort((minor, major))
+    )
+
+
+class TestLexOrder:
+    @pytest.fixture
+    def lexsort_calls(self, monkeypatch):
+        """Count calls to the lexsort fallback (still delegating to it)."""
+        calls = []
+        real = np.lexsort
+
+        def spy(keys):
+            calls.append(keys)
+            return real(keys)
+
+        monkeypatch.setattr(prim.np, "lexsort", spy)
+        return calls
+
+    def test_empty(self):
+        out = prim.lex_order(np.array([], dtype=np.int64),
+                             np.array([], dtype=np.int64))
+        assert out.dtype == np.intp and len(out) == 0
+
+    def test_one_element(self):
+        np.testing.assert_array_equal(prim.lex_order(np.array([-7]), np.array([3])), [0])
+
+    def test_all_equal_keys_keep_input_order(self):
+        same = np.full(9, 4, dtype=np.int64)
+        np.testing.assert_array_equal(prim.lex_order(same, same), np.arange(9))
+
+    def test_negative_ids(self, lexsort_calls):
+        major = np.array([0, -3, 0, -3, 2])
+        minor = np.array([-1, 5, -9, 5, -1])
+        np.testing.assert_array_equal(prim.lex_order(major, minor), [1, 3, 2, 0, 4])
+        assert lexsort_calls == []
+
+    def test_overflowing_key_takes_fallback(self, lexsort_calls):
+        major = np.array([2**62, 0, 5, 0, -1], dtype=np.int64)
+        minor = np.array([1, 3, 2, 3, 0], dtype=np.int64)
+        out = prim.lex_order(major, minor)
+        assert len(lexsort_calls) == 1
+        np.testing.assert_array_equal(out, [4, 1, 3, 2, 0])
+
+    def test_widest_fitting_key_stays_on_argsort(self, lexsort_calls):
+        # (major range + 1) * span == 2**63: the largest key is INT64_MAX
+        major = np.array([2**31 - 1, 0, 2**31 - 1], dtype=np.int64)
+        minor = np.array([-(2**31), 2**31 - 1, 5], dtype=np.int64)
+        np.testing.assert_array_equal(prim.lex_order(major, minor), [1, 0, 2])
+        assert lexsort_calls == []
+
+
 # ----------------------------------------------------------------------
 # segment utilities
 # ----------------------------------------------------------------------

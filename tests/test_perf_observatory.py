@@ -139,6 +139,45 @@ class TestRunner:
         assert {"mdl", "nmi", "ari", "num_blocks"} <= set(wl["quality"])
         assert "tracer" not in wl
 
+    def test_host_glue_plus_kernel_wall_is_phase_wall(self, record_a):
+        (wl,) = record_a["workloads"]
+        glue, phases = wl["host_glue"], wl["phases"]
+        assert {"block_merge_s", "vertex_move_s"} <= set(glue) <= set(phases)
+        for key, samples in glue.items():
+            prefix = key[: -len("_s")] + "/"
+            assert len(samples) == 3
+            for i, value in enumerate(samples):
+                kernel_wall = sum(stats["wall_s"][i]
+                                  for name, stats in wl["kernels"].items()
+                                  if name.startswith(prefix))
+                assert value >= 0
+                assert value + kernel_wall == pytest.approx(phases[key][i])
+
+    def test_kernel_missing_from_a_middle_repeat_reads_zero_there(
+        self, monkeypatch
+    ):
+        import repro.perf.runner as runner
+
+        real, calls = runner._kernel_table, []
+
+        def drop_target_on_second_repeat(profiler):
+            table = real(profiler)
+            calls.append(TARGET_PAIR)
+            if len(calls) == 2:
+                del table[TARGET_PAIR]
+            return table
+
+        monkeypatch.setattr(runner, "_kernel_table", drop_target_on_second_repeat)
+        (wl,) = _quick_run(label="gap")["workloads"]
+        launches = wl["kernels"][TARGET_PAIR]["launches"]
+        assert launches[1] == 0 and launches[0] > 0 and launches[2] > 0
+
+    def test_validate_flags_ragged_host_glue(self, record_a):
+        (wl,) = record_a["workloads"]
+        bad = dict(wl, host_glue={"vertex_move_s": [0.1]})
+        problems = validate_record(dict(record_a, workloads=[bad]))
+        assert any("host_glue.vertex_move_s" in p for p in problems)
+
     def test_environment_fingerprint_embedded(self, record_a):
         env = record_a["environment"]
         assert env["python"] and env["numpy"]
